@@ -26,7 +26,7 @@ from .evaluation import (
     macro_metrics,
     stratified_kfold,
 )
-from .models import ModelSpec, fit
+from .models import ModelSpec, fit, threshold
 
 MODEL_ORDER = ("lgr", "rforest", "svm", "gbt")
 ENCODING_ORDER = FAMILIES
@@ -152,8 +152,8 @@ def run_cell_detailed(
                 model_spec, X1, y, train, test, folds.k, seed, fold, inner_cv
             )
             if hard_stage1:
-                train_scores = (train_scores >= 0.5).astype(float)
-                test_scores = (test_scores >= 0.5).astype(float)
+                train_scores = threshold(train_scores).astype(float)
+                test_scores = threshold(test_scores).astype(float)
             all_scores = np.zeros(len(dataset))
             all_scores[train] = train_scores
             all_scores[test] = test_scores
@@ -163,7 +163,7 @@ def run_cell_detailed(
             X = matrices[enc.family]
         model = fit(model_spec, X[train], y[train])
         scores = model.predict_score(X[test])
-        predictions = (scores >= 0.5).astype(int)
+        predictions = threshold(scores)
         metrics = macro_metrics(confusion(predictions, y[test].astype(int)))
         outcomes.append(
             FoldOutcome(

@@ -45,6 +45,31 @@ def as_matrix(X, n_features):
     return X, single
 
 
+def threshold(scores):
+    """Binary labels: 1 iff score >= 0.5 (ties go to hateful)."""
+    if isinstance(scores, float):
+        return int(scores >= 0.5)
+    return (scores >= 0.5).astype(int)
+
+
+class Classifier:
+    """The predict contract every family shares.
+
+    A model provides ``n_features`` and ``scores(X)``, the hateful-class
+    scores of the rows of a 2-D matrix; this class adds single-vector input,
+    the width check and the 0.5 threshold.
+    """
+
+    def predict_score(self, X):
+        """Hateful-class score in [0, 1] for one vector or a matrix of rows."""
+        X, single = as_matrix(X, self.n_features)
+        scores = self.scores(X)
+        return float(scores[0]) if single else scores
+
+    def predict(self, X):
+        return threshold(self.predict_score(X))
+
+
 def dedup_rows(X, y):
     """Collapse identical (row, label) pairs into unique rows with counts.
 

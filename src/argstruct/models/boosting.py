@@ -6,53 +6,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import as_matrix as _as_matrix
-from . import dedup_rows
+from . import Classifier, dedup_rows
 from .linear import sigmoid
-from .tree import all_binary, grow_tree, predict_tree, sse_gain
+from .tree import Trees, distinct_rows, grow_trees, sse_gain
 
 
 @dataclass(frozen=True)
-class GradientBoostedModel:
+class GradientBoostedModel(Classifier):
     family: str
     base_score: float
     shrinkage: float
-    trees: tuple
+    trees: Trees
     n_features: int
 
-    def raw_scores(self, X):
-        F = np.full(len(X), self.base_score)
-        for root in self.trees:
-            F += self.shrinkage * predict_tree(root, X)
-        return F
-
-    def predict_score(self, X):
-        X, single = _as_matrix(X, self.n_features)
-        scores = sigmoid(self.raw_scores(X))
-        return float(scores[0]) if single else scores
-
-    def predict(self, X):
-        scores = self.predict_score(X)
-        if isinstance(scores, float):
-            return int(scores >= 0.5)
-        return (scores >= 0.5).astype(int)
+    def scores(self, X):
+        U, inverse = distinct_rows(X)
+        F = np.full(len(U), self.base_score)
+        for leaf in self.trees.leaf_values(U):  # tree order: float sums depend on it
+            F += self.shrinkage * leaf
+        return sigmoid(F)[inverse]
 
 
 def fit_gbt(spec, X, y) -> GradientBoostedModel:
     n, d = X.shape
     unique, y_u, counts, inverse = dedup_rows(X, y)
-    binary = all_binary(unique)
     p0 = float((counts @ y_u) / n)
     base = float(np.log(p0 / (1.0 - p0)))
     F = np.full(len(unique), base)
-    trees = []
+    rounds = []
     for r in range(spec.tree_count):
         p = sigmoid(F)
         grad = y_u - p  # negative log-loss gradient
         hess = p * (1.0 - p)
 
-        def leaf_fn(idx, w, grad=grad, hess=hess):
-            return float((w @ grad[idx]) / (w @ hess[idx] + 1e-16))
+        def leaf_fn(W, grad=grad, hess=hess):
+            # Newton step over each leaf's own rows, in row order
+            values = []
+            for w in W:
+                rows = w.nonzero()[0]
+                w = w[rows]
+                values.append(float((w @ grad[rows]) / (w @ hess[rows] + 1e-16)))
+            return values
 
         if spec.subsample < 1.0:
             rng = np.random.default_rng([spec.seed, r])
@@ -61,17 +55,15 @@ def fit_gbt(spec, X, y) -> GradientBoostedModel:
             weights = np.bincount(inverse[picked], minlength=len(unique)).astype(float)
         else:
             weights = counts
-        rows = np.flatnonzero(weights)
-        root = grow_tree(
-            unique, grad, rows, weights[rows], spec.max_depth, sse_gain, leaf_fn,
-            binary=binary,
+        tree, fitted = grow_trees(
+            unique, grad, weights[None, :], spec.max_depth, sse_gain, leaf_fn
         )
-        F += spec.learning_rate * predict_tree(root, unique)
-        trees.append(root)
+        F += spec.learning_rate * fitted[0]
+        rounds.append(tree)
     return GradientBoostedModel(
         family="gbt",
         base_score=base,
         shrinkage=spec.learning_rate,
-        trees=tuple(trees),
+        trees=Trees.concat(rounds),
         n_features=d,
     )

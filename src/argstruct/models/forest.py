@@ -4,7 +4,9 @@ Each tree draws its bootstrap and split-time feature subsets from an RNG
 stream derived from (seed, tree index), so results do not depend on build
 order. Feature subsets are sqrt-sized samples of the node's varying columns;
 all-constant columns never enter the pool, so predictions are invariant to
-appending constant columns.
+appending constant columns. All trees grow together (``grow_trees``): their
+bootstraps are one trees x unique-rows weight matrix, and because weights
+are counts and targets 0/1, every node sum is an exact integer.
 """
 
 import math
@@ -12,63 +14,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import as_matrix as _as_matrix
-from . import dedup_rows
-from .tree import all_binary, entropy_gain, gini_gain, grow_tree, predict_tree
+from . import Classifier, dedup_rows
+from .tree import Trees, distinct_rows, entropy_gain, gini_gain, grow_trees
 
 
 @dataclass(frozen=True)
-class RandomForestModel:
+class RandomForestModel(Classifier):
     family: str
-    trees: tuple
+    trees: Trees
     n_features: int
 
-    def predict_score(self, X):
+    def scores(self, X):
         """Fraction of trees whose leaf votes hateful."""
-        X, single = _as_matrix(X, self.n_features)
-        votes = np.zeros(len(X))
-        for root in self.trees:
-            votes += predict_tree(root, X)
-        scores = votes / len(self.trees)
-        return float(scores[0]) if single else scores
-
-    def predict(self, X):
-        scores = self.predict_score(X)
-        if isinstance(scores, float):
-            return int(scores >= 0.5)
-        return (scores >= 0.5).astype(int)
+        U, inverse = distinct_rows(X)
+        votes = self.trees.leaf_values(U).sum(axis=0)
+        return (votes / len(self.trees))[inverse]
 
 
 def fit_forest(spec, X, y) -> RandomForestModel:
     n, d = X.shape
     gain_fn = entropy_gain if spec.criterion == "entropy" else gini_gain
     unique, y_u, _, inverse = dedup_rows(X, y)
-    binary = all_binary(unique)
+    rngs = [np.random.default_rng([spec.seed, t]) for t in range(spec.tree_count)]
+    weights = np.array(
+        [np.bincount(inverse[rng.integers(0, n, n)], minlength=len(unique)) for rng in rngs],
+        dtype=float,
+    )
 
-    def leaf_fn(idx, w):
+    def leaf_fn(W):
         # weighted majority vote, ties toward hateful
-        return 1.0 if 2.0 * (w @ y_u[idx]) >= w.sum() else 0.0
+        return np.where(2.0 * (W @ y_u) >= W.sum(axis=1), 1.0, 0.0)
 
-    trees = []
-    for t in range(spec.tree_count):
-        rng = np.random.default_rng([spec.seed, t])
-        bootstrap = rng.integers(0, n, n)
-        weights = np.bincount(inverse[bootstrap], minlength=len(unique)).astype(float)
-        rows = np.flatnonzero(weights)
+    def choose_features(tree, candidates):
+        # sqrt-sized draw from the node's varying columns; the stream
+        # consumed depends only on the candidate count
+        m = max(1, math.isqrt(len(candidates)))
+        if m >= len(candidates):
+            return candidates
+        pick = rngs[tree].permutation(len(candidates))[:m]
+        return candidates[np.sort(pick)]
 
-        def choose_features(candidates, rng=rng):
-            # sqrt-sized draw from the node's varying columns; the stream
-            # consumed depends only on the candidate count
-            m = max(1, math.isqrt(len(candidates)))
-            if m >= len(candidates):
-                return candidates
-            pick = rng.permutation(len(candidates))[:m]
-            return candidates[np.sort(pick)]
-
-        trees.append(
-            grow_tree(
-                unique, y_u, rows, weights[rows], spec.max_depth, gain_fn,
-                leaf_fn, choose_features, binary=binary,
-            )
-        )
-    return RandomForestModel(family="rforest", trees=tuple(trees), n_features=d)
+    trees, _ = grow_trees(unique, y_u, weights, spec.max_depth, gain_fn, leaf_fn, choose_features)
+    return RandomForestModel(family="rforest", trees=trees, n_features=d)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import as_matrix as _as_matrix
-from . import dedup_rows
+from . import Classifier, dedup_rows
 
 GRAD_TOL = 1e-8
 
@@ -27,7 +26,7 @@ def sigmoid(z):
 
 
 @dataclass(frozen=True)
-class LinearModel:
+class LinearModel(Classifier):
     family: str
     weights: np.ndarray
     bias: float
@@ -36,19 +35,8 @@ class LinearModel:
     def n_features(self) -> int:
         return len(self.weights)
 
-    def decision_values(self, X):
-        return X @ self.weights + self.bias
-
-    def predict_score(self, X):
-        X, single = _as_matrix(X, self.n_features)
-        scores = sigmoid(self.decision_values(X))
-        return float(scores[0]) if single else scores
-
-    def predict(self, X):
-        scores = self.predict_score(X)
-        if isinstance(scores, float):
-            return int(scores >= 0.5)
-        return (scores >= 0.5).astype(int)
+    def scores(self, X):
+        return sigmoid(X @ self.weights + self.bias)
 
 
 def _constant_columns(X):

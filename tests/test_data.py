@@ -24,7 +24,7 @@ from argstruct.data import (
     write_dataset,
 )
 from argstruct.synth import GeneratorConfig, generate
-from conftest import make_message
+from messages import make_message
 
 
 def test_validate_accepts_worked_message(worked_message):

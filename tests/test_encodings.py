@@ -19,7 +19,7 @@ from argstruct.encodings import (
     stage_one_spec,
     structure_vector,
 )
-from conftest import make_message, message_strategy
+from messages import make_message, message_strategy
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from argstruct.experiment import (
 )
 from argstruct.models import ModelSpec
 from argstruct.synth import GeneratorConfig, generate
-from conftest import make_message
+from messages import make_message
 
 FAST_MODELS = tuple(
     ModelSpec(f, tree_count=15) if f in ("rforest", "gbt") else ModelSpec(f)

@@ -15,8 +15,7 @@ from argstruct.models import (
 from argstruct.models.boosting import GradientBoostedModel
 from argstruct.models.forest import RandomForestModel
 from argstruct.models.linear import LinearModel
-from argstruct.models.persist import load_model, model_to_dict, save_model
-from argstruct.models.tree import Node
+from argstruct.models.persist import load_model, model_from_dict, model_to_dict, save_model
 
 FAMILIES = ("lgr", "svm", "rforest", "gbt")
 
@@ -96,16 +95,22 @@ def test_predict_threshold_and_ties():
     assert predict(up, [-2.0, 0.0]) == 0
 
 
+def _tree_model(family, n_features, **params):
+    return model_from_dict(
+        {"format": "argstruct-model", "version": 1, "family": family,
+         "n_features": n_features, "params": params}
+    )
+
+
 def test_forest_unanimous_vote_scores_one():
-    trees = tuple(Node(value=1.0) for _ in range(5))
-    model = RandomForestModel(family="rforest", trees=trees, n_features=3)
+    model = _tree_model("rforest", 3, trees=[{"v": 1.0}] * 5)
+    assert isinstance(model, RandomForestModel)
     assert predict_score(model, [0.0, 1.0, 0.0]) == 1.0
 
 
 def test_gbt_zero_trees_zero_base_scores_half():
-    model = GradientBoostedModel(
-        family="gbt", base_score=0.0, shrinkage=0.1, trees=(), n_features=2
-    )
+    model = _tree_model("gbt", 2, base_score=0.0, shrinkage=0.1, trees=[])
+    assert isinstance(model, GradientBoostedModel)
     assert predict_score(model, [1.0, 0.0]) == 0.5
 
 
@@ -152,8 +157,8 @@ def test_tree_models_ignore_appended_constant_column(family, seed):
 @pytest.mark.parametrize("family", ("rforest", "gbt"))
 @pytest.mark.parametrize("seed", (0, 4))
 def test_binary_fast_path_matches_generic_split_search(family, seed):
-    # a constant 2.0 column forces the generic per-column search; it is never
-    # a split candidate, so the grown trees must match the all-binary path
+    # a constant 2.0 column is not 0/1, so it takes the sorted split search;
+    # it is never a split candidate, so the grown trees must match the 0/1-only ones
     X, y = _random_binary_problem(seed)
     augmented = np.hstack([X, np.full((len(X), 1), 2.0)])
     spec = ModelSpec(family, tree_count=25)
