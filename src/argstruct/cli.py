@@ -52,6 +52,7 @@ from .models import (
     DimensionMismatchError,
     EmptyTrainingSetError,
     ModelSpec,
+    NonFiniteInputError,
     SingleClassError,
 )
 from .synth import MODES, GeneratorConfig, InvalidConfigError, generate
@@ -82,6 +83,7 @@ _DATA_ERRORS = (
     SingleClassError,
     EmptyTrainingSetError,
     DimensionMismatchError,
+    NonFiniteInputError,
     FileNotFoundError,
     IsADirectoryError,
 )
@@ -460,7 +462,6 @@ def cmd_run(args) -> int:
             hard_stage1=args.hard_stage1,
             sample_std=args.sample_std,
             jobs=args.jobs,
-            dataset=args.dataset,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -5,7 +5,9 @@ every grid cell so the encodings and models are compared on identical splits.
 Two-stage cells train a premise-only model of the same family inside each
 fold's training split; its in-sample predictions feed the stage-2 training
 rows and its predictions on held-out premises feed the test rows, so the
-test fold never leaks into stage-1 training.
+test fold never leaks into stage-1 training. A cell fits its k folds stage by
+stage through ``models.fit_each``, which lets boosting grow the k folds'
+trees together.
 """
 
 import json
@@ -26,7 +28,7 @@ from .evaluation import (
     macro_metrics,
     stratified_kfold,
 )
-from .models import ModelSpec, fit, threshold
+from .models import ModelSpec, fit_each, threshold
 
 MODEL_ORDER = ("lgr", "rforest", "svm", "gbt")
 ENCODING_ORDER = FAMILIES
@@ -48,7 +50,6 @@ class ExperimentConfig:
     hard_stage1: bool = False
     sample_std: bool = False
     jobs: int | None = None
-    dataset: str | None = None
 
     def __post_init__(self):
         if not self.encodings:
@@ -111,20 +112,37 @@ def _inner_seed(seed: int, fold: int) -> int:
     return seed * 1000003 + fold + 1
 
 
-def _stage1_scores(model_spec, X1, y, train, test, k, seed, fold, inner_cv):
-    s1_model = fit(model_spec, X1[train], y[train])
-    if inner_cv:
-        train_scores = np.empty(len(train))
-        inner = stratified_kfold(y[train], k, seed=_inner_seed(seed, fold))
-        for inner_fold in range(k):
-            fit_rows = train[inner.train_indices(inner_fold)]
-            score_rows = inner.test_indices(inner_fold)
-            inner_model = fit(model_spec, X1[fit_rows], y[fit_rows])
-            train_scores[score_rows] = inner_model.predict_score(X1[train[score_rows]])
-    else:
-        train_scores = s1_model.predict_score(X1[train])
-    test_scores = s1_model.predict_score(X1[test])
-    return train_scores, test_scores
+def _inner_cv_scores(model_spec, X1, y, train, k, seed, fold):
+    """Stage-1 scores of a fold's training rows, each from a model not fitted on it."""
+    inner = stratified_kfold(y[train], k, seed=_inner_seed(seed, fold))
+    fit_rows = [train[inner.train_indices(i)] for i in range(k)]
+    scores = np.empty(len(train))
+    for i, model in enumerate(fit_each(model_spec, [(X1[r], y[r]) for r in fit_rows])):
+        score_rows = inner.test_indices(i)
+        scores[score_rows] = model.predict_score(X1[train[score_rows]])
+    return scores
+
+
+def _stage2_designs(dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed):
+    """Each fold's stage-2 design, on stage-1 models fitted inside its training rows."""
+    trains = [folds.train_indices(fold) for fold in range(folds.k)]
+    stage1 = fit_each(model_spec, [(X1[train], y[train]) for train in trains])
+    designs = []
+    for fold, (train, s1_model) in enumerate(zip(trains, stage1)):
+        test = folds.test_indices(fold)
+        if inner_cv:
+            train_scores = _inner_cv_scores(model_spec, X1, y, train, folds.k, seed, fold)
+        else:
+            train_scores = s1_model.predict_score(X1[train])
+        test_scores = s1_model.predict_score(X1[test])
+        if hard_stage1:
+            train_scores = threshold(train_scores).astype(float)
+            test_scores = threshold(test_scores).astype(float)
+        all_scores = np.zeros(len(dataset))
+        all_scores[train] = train_scores
+        all_scores[test] = test_scores
+        designs.append(encode_dataset(dataset, enc, stage1_scores=all_scores))
+    return designs
 
 
 def run_cell_detailed(
@@ -141,27 +159,18 @@ def run_cell_detailed(
     if matrices is None:
         matrices = design_matrices(dataset, [enc.family])
     y = np.asarray(dataset.labels(), dtype=float)
+    if enc.two_stage:
+        X1 = matrices[stage_one_spec(enc).family]
+        designs = _stage2_designs(
+            dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed
+        )
+    else:
+        designs = [matrices[enc.family]] * folds.k
+    trains = [folds.train_indices(fold) for fold in range(folds.k)]
+    fitted = fit_each(model_spec, [(X[train], y[train]) for X, train in zip(designs, trains)])
     outcomes = []
-    for fold in range(folds.k):
-        train = folds.train_indices(fold)
+    for fold, (X, train, model) in enumerate(zip(designs, trains, fitted)):
         test = folds.test_indices(fold)
-        stage1_train = None
-        if enc.two_stage:
-            X1 = matrices[stage_one_spec(enc).family]
-            train_scores, test_scores = _stage1_scores(
-                model_spec, X1, y, train, test, folds.k, seed, fold, inner_cv
-            )
-            if hard_stage1:
-                train_scores = threshold(train_scores).astype(float)
-                test_scores = threshold(test_scores).astype(float)
-            all_scores = np.zeros(len(dataset))
-            all_scores[train] = train_scores
-            all_scores[test] = test_scores
-            X = encode_dataset(dataset, enc, stage1_scores=all_scores)
-            stage1_train = train
-        else:
-            X = matrices[enc.family]
-        model = fit(model_spec, X[train], y[train])
         scores = model.predict_score(X[test])
         predictions = threshold(scores)
         metrics = macro_metrics(confusion(predictions, y[test].astype(int)))
@@ -172,7 +181,7 @@ def run_cell_detailed(
                 scores=scores,
                 predictions=predictions,
                 metrics=metrics,
-                stage1_train_indices=stage1_train,
+                stage1_train_indices=train if enc.two_stage else None,
             )
         )
     return outcomes

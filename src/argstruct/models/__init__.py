@@ -32,6 +32,10 @@ class DimensionMismatchError(Exception):
     pass
 
 
+class NonFiniteInputError(Exception):
+    pass
+
+
 def as_matrix(X, n_features):
     """Coerce input to a 2-D float design matrix; flag single-vector input."""
     X = np.asarray(X, dtype=float)
@@ -143,6 +147,8 @@ def _check_training_data(X, y):
         raise DimensionMismatchError(
             f"labels of shape {y.shape} do not match {len(X)} rows"
         )
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteInputError("training data holds a NaN or infinite value")
     if len(X) < 2:
         raise EmptyTrainingSetError(f"need at least 2 training rows, got {len(X)}")
     if len(np.unique(y)) < 2:
@@ -163,7 +169,25 @@ def fit(spec: ModelSpec, X, y):
         return fit_svm(spec, X, y)
     if spec.family == "rforest":
         return fit_forest(spec, X, y)
-    return fit_gbt(spec, X, y)
+    return fit_gbt(spec, [(X, y)])[0]
+
+
+def fit_each(spec: ModelSpec, problems):
+    """One model per (X, y) problem, each bitwise identical to fit(spec, X, y).
+
+    Every problem is checked before any is fitted, and all must have the same
+    width. Boosting fits the problems together (``boosting.fit_gbt``); the
+    other families fit them one at a time through ``fit``.
+    """
+    from .boosting import fit_gbt
+
+    problems = [_check_training_data(X, y) for X, y in problems]
+    widths = sorted({X.shape[1] for X, _ in problems})
+    if len(widths) > 1:
+        raise DimensionMismatchError(f"problems of one batch differ in width: {widths}")
+    if spec.family != "gbt":
+        return [fit(spec, X, y) for X, y in problems]
+    return fit_gbt(spec, problems) if problems else []
 
 
 def predict_score(model, x):

@@ -16,6 +16,7 @@ weight vector of the wrong length raises ModelFormatError.
 
 import json
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -92,35 +93,74 @@ def _integer(value, where, low, high) -> int:
     return value
 
 
+def _first_bad(values, types):
+    """Index of the first value that is a bool or not of ``types``, or None."""
+    bad = {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, types)}
+    return next(i for i, v in enumerate(values) if type(v) in bad) if bad else None
+
+
 def _trees_from_objs(objs, n_features) -> Trees:
-    """Flatten nested tree objects, checking every node."""
+    """Flatten nested tree objects, checking every node.
+
+    The walk checks each node's keys; the numbers it collects are checked
+    together afterwards, and an error names the tree of the first bad one.
+    """
     if not isinstance(objs, list):
         raise ModelFormatError("params.trees must be a list")
-    feature, threshold, left, right, value, roots = [], [], [], [], [], []
+    left, right, roots = [], [], []
+    splits, features, thresholds = [], [], []  # split node ids and their f, t
+    leaves, values = [], []  # leaf node ids and their v
     for k, root in enumerate(objs):
-        roots.append(len(feature))
-        pending = [(root, f"tree {k}", None, None)]  # (node, where, parent, side)
+        roots.append(len(left))
+        pending = [(root, None, None)]  # (node, parent id, parent's child list)
         while pending:
-            obj, where, parent, side = pending.pop()
-            i = len(feature)
+            obj, parent, side = pending.pop()
+            i = len(left)
             if parent is not None:
                 side[parent] = i
             left.append(i)  # a leaf points to itself
             right.append(i)
-            if isinstance(obj, dict) and "v" in obj:
-                feature.append(-1)
-                threshold.append(0.0)
-                value.append(_number(obj["v"], where + ".v"))
-            else:
-                feature.append(_integer(_get(obj, "f", where), where + ".f", 0, n_features))
-                threshold.append(_number(_get(obj, "t", where), where + ".t"))
-                value.append(0.0)
-                pending.append((_get(obj, "r", where), where + ".r", i, right))
-                pending.append((_get(obj, "l", where), where + ".l", i, left))
-    feature, left, right, roots = (
-        np.array(xs, dtype=np.int32) for xs in (feature, left, right, roots)
-    )
-    return Trees(feature, np.array(threshold), left, right, np.array(value), roots)
+            if not isinstance(obj, dict):
+                raise ModelFormatError(f"tree {k}: a node must be an object")
+            if "v" in obj:
+                leaves.append(i)
+                values.append(obj["v"])
+                continue
+            try:
+                f, t, lo, hi = obj["f"], obj["t"], obj["l"], obj["r"]
+            except KeyError as exc:
+                raise ModelFormatError(f"tree {k}: a split node has no {exc.args[0]!r}") from None
+            splits.append(i)
+            features.append(f)
+            thresholds.append(t)
+            pending.append((hi, i, right))
+            pending.append((lo, i, left))
+
+    def fail(nodes, at, what):
+        raise ModelFormatError(f"tree {bisect_right(roots, nodes[at]) - 1}: {what}")
+
+    at = _first_bad(features, int)
+    if at is not None:
+        fail(splits, at, f"feature index must be an integer, got {features[at]!r}")
+    if features and not (0 <= min(features) and max(features) < n_features):
+        at = next(a for a, f in enumerate(features) if not 0 <= f < n_features)
+        fail(splits, at, f"feature index must be in [0, {n_features}), got {features[at]!r}")
+    feature = np.full(len(left), -1, dtype=np.int32)
+    feature[splits] = features
+    threshold, value = np.zeros(len(left)), np.zeros(len(left))
+    for name, out, nodes, raw in (
+        ("threshold", threshold, splits, thresholds), ("value", value, leaves, values)
+    ):
+        at = _first_bad(raw, (int, float))
+        if at is not None:
+            fail(nodes, at, f"{name} must be a number, got {raw[at]!r}")
+        out[nodes] = raw
+        finite = np.isfinite(out[nodes])
+        if not finite.all():
+            at = int(np.argmin(finite))
+            fail(nodes, at, f"{name} must be finite, got {raw[at]!r}")
+    left, right, roots = (np.array(xs, dtype=np.int32) for xs in (left, right, roots))
+    return Trees(feature, threshold, left, right, value, roots)
 
 
 def model_from_dict(obj: dict):

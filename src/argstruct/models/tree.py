@@ -16,14 +16,16 @@ otherwise every pending node is expanded at once. A step gets all nodes'
 weight and per-side counts from one matmul of their weights (nodes x unique
 rows) against the unique rows. Target sums come from a second matmul when
 targets are integers, where every sum is exact; float targets are summed per
-node over the node's own rows and candidate columns, so a tree's sums do not
-depend on the nodes it shares a step with. Children that are leaves by
-depth, weight or purity get their values when created, and every node keeps
-the unique rows that reach it, so the builder also returns the leaf value of
-each unique row.
+node over the node's own rows and candidate columns, in row order, so a
+tree's sums depend neither on the nodes it shares a step with nor on rows
+its weights leave out. Boosting relies on this to grow the trees of
+several problems in one call, each weighting only its own block of stacked
+rows. Children that are leaves by depth, weight or purity get their
+values when created, and every node keeps the unique rows that reach it, so
+the builder also returns the leaf value of each unique row.
 
-Grown trees are flat arrays (``Trees``); prediction descends all trees at
-once, one vectorized step per level.
+Grown trees are flat arrays (``Trees``), each tree's nodes one contiguous
+block; prediction descends all trees at once, one vectorized step per level.
 """
 
 from dataclasses import dataclass
@@ -80,8 +82,8 @@ class Trees:
     Node ``i`` splits on ``feature[i]`` (rows with value <= ``threshold[i]``
     go to ``left[i]``, the rest to ``right[i]``) or, when ``feature[i]`` is
     -1, is a leaf holding ``value[i]`` whose ``left`` and ``right`` point to
-    itself. Child indices are absolute; tree ``k`` starts at node
-    ``roots[k]``.
+    itself. Child indices are absolute; tree ``k`` holds the nodes from
+    ``roots[k]`` up to the next tree's root.
     """
 
     feature: np.ndarray
@@ -103,6 +105,18 @@ class Trees:
             for p, o in zip(parts, offsets)
         ]
         return cls(*(np.concatenate(arrays) for arrays in zip(*joined)))
+
+    def take(self, indices):
+        """The trees ``indices``, in that order, renumbered as one sequence."""
+        starts = self.roots[indices]
+        sizes = np.append(self.roots[1:], len(self.feature))[indices] - starts
+        roots = (np.cumsum(sizes) - sizes).astype(np.int32)
+        shift = np.repeat(roots - starts, sizes)  # new index - old index, per node
+        nodes = np.arange(len(shift)) - shift
+        return Trees(
+            self.feature[nodes], self.threshold[nodes], self.left[nodes] + shift,
+            self.right[nodes] + shift, self.value[nodes], roots,
+        )
 
     def leaf_values(self, X):
         """values[k, i]: the value of the leaf tree k sends row X[i] to."""
@@ -139,14 +153,18 @@ class _Nodes:
 
     def __init__(self):
         self.count = 0
+        self.owners = []  # the tree of each numbered node, in numbering order
         self.splits = []  # (ids, feature, threshold, left ids, right ids)
         self.leaves = []  # (ids, values)
 
-    def number(self, k):
-        self.count += k
-        return np.arange(self.count - k, self.count)
+    def number(self, trees):
+        """Ids for new nodes of ``trees``, one each."""
+        self.count += len(trees)
+        self.owners.append(trees)
+        return np.arange(self.count - len(trees), self.count)
 
     def trees(self, roots):
+        """The build as ``Trees``, laid out tree by tree in numbering order."""
         feature = np.full(self.count, -1, dtype=np.int32)
         threshold = np.zeros(self.count)
         left = np.arange(self.count, dtype=np.int32)
@@ -156,7 +174,19 @@ class _Nodes:
             feature[ids], threshold[ids], left[ids], right[ids] = f, thr, lo, hi
         for ids, v in self.leaves:
             value[ids] = v
-        return Trees(feature, threshold, left, right, value, roots.astype(np.int32))
+        order = np.argsort(np.concatenate(self.owners), kind="stable")
+        position = np.empty(self.count, dtype=np.int32)
+        position[order] = np.arange(self.count)
+        return Trees(
+            feature[order], threshold[order], position[left[order]],
+            position[right[order]], value[order], position[roots],
+        )
+
+
+def node_slices(node, count):
+    """Slices of nodes 0..count-1 in arrays grouped by ``node``, as ``nonzero`` gives them."""
+    ends = np.cumsum(np.bincount(node, minlength=count)).tolist()
+    return [slice(start, end) for start, end in zip([0] + ends, ends)]
 
 
 def _sorted_column(x):
@@ -244,7 +274,7 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
         return trees[keep], ids[keep], depth[keep], reach[keep]
 
     n_trees = len(weights)
-    roots = nodes.number(n_trees)
+    roots = nodes.number(np.arange(n_trees))
     with np.errstate(divide="ignore", invalid="ignore"):
         # pending nodes (tree, id, depth, reach row) in the order they were
         # stacked; each tree's newest one is the next in its preorder
@@ -275,7 +305,7 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
             if not len(ids):
                 continue
             go_left = X[:, feature].T <= threshold[:, None]
-            right_left = nodes.number(2 * len(ids))
+            right_left = nodes.number(np.concatenate([trees, trees]))
             right, left = right_left[: len(ids)], right_left[len(ids):]
             nodes.splits.append((ids, feature, threshold, left, right))
             # right children are stacked before left ones, so left pops first
@@ -338,11 +368,14 @@ def _best_splits(X, t, W, sorted_cols, integer_targets, gain_fn, choose_features
         # candidate columns, so no tree's sums depend on the nodes beside it
         T = np.empty((a, 1))
         TR = np.zeros_like(nR)
-        for i in range(a):
-            rows, cols = W[i].nonzero()[0], by_sums[i].nonzero()[0]
-            wt = Wt[i, rows]
+        row_node, rows = W.nonzero()
+        col_node, cols = by_sums.nonzero()
+        wts = Wt[row_node, rows]
+        for i, (r, c) in enumerate(zip(node_slices(row_node, a), node_slices(col_node, a))):
+            wt, cs = wts[r], cols[c]
             T[i] = wt.sum()
-            TR[i, cols] = wt @ X[rows][:, cols]
+            # the gathered block's memory layout picks BLAS's summation order
+            TR[i, cs] = wt @ X[rows[r]][:, cs]
     gains = np.where(by_sums, gain_fn(n, T, n - nR, T - TR), -np.inf)
     sorted_thresholds = {}
     for j, column in sorted_cols.items():

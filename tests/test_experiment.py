@@ -5,7 +5,7 @@ import pytest
 
 import argstruct.experiment as experiment
 from argstruct.data import Dataset
-from argstruct.encodings import FAMILIES, EncodingSpec
+from argstruct.encodings import FAMILIES, EncodingSpec, encode_dataset, stage_one_spec
 from argstruct.evaluation import ClassTooSmallError, stratified_kfold
 from argstruct.experiment import (
     ExperimentConfig,
@@ -16,7 +16,7 @@ from argstruct.experiment import (
     run_cell_detailed,
     run_grid,
 )
-from argstruct.models import ModelSpec
+from argstruct.models import ModelSpec, fit, threshold
 from argstruct.synth import GeneratorConfig, generate
 from messages import make_message
 
@@ -115,6 +115,51 @@ def test_two_stage_never_trains_stage1_on_test_rows(tiny_dataset):
             assert o.stage1_train_indices is not None
             overlap = set(o.stage1_train_indices) & set(o.test_indices)
             assert not overlap
+
+
+def _per_fold_reference(dataset, enc, spec, folds, inner_cv, hard_stage1, seed):
+    """(held-out scores, stage-1 training rows) of each fold, fitted one
+    model at a time with ``fit``."""
+    y = np.asarray(dataset.labels(), dtype=float)
+    X1 = design_matrices(dataset, [enc.family])[stage_one_spec(enc).family]
+    expected = []
+    for fold in range(folds.k):
+        train, test = folds.train_indices(fold), folds.test_indices(fold)
+        stage1 = fit(spec, X1[train], y[train])
+        if inner_cv:
+            train_scores = np.empty(len(train))
+            inner = stratified_kfold(y[train], folds.k, seed=experiment._inner_seed(seed, fold))
+            for i in range(folds.k):
+                rows, held = train[inner.train_indices(i)], inner.test_indices(i)
+                inner_model = fit(spec, X1[rows], y[rows])
+                train_scores[held] = inner_model.predict_score(X1[train[held]])
+        else:
+            train_scores = stage1.predict_score(X1[train])
+        test_scores = stage1.predict_score(X1[test])
+        if hard_stage1:
+            train_scores = threshold(train_scores).astype(float)
+            test_scores = threshold(test_scores).astype(float)
+        all_scores = np.zeros(len(dataset))
+        all_scores[train], all_scores[test] = train_scores, test_scores
+        X = encode_dataset(dataset, enc, stage1_scores=all_scores)
+        expected.append((fit(spec, X[train], y[train]).predict_score(X[test]), train))
+    return expected
+
+
+@pytest.mark.parametrize("inner_cv", [False, True])
+@pytest.mark.parametrize("hard_stage1", [False, True])
+def test_two_stage_cell_matches_fold_by_fold_fits(tiny_dataset, inner_cv, hard_stage1):
+    folds = stratified_kfold(tiny_dataset.labels(), 3, seed=2)
+    enc = EncodingSpec("arg-str-c-given-p-cw", tiny_dataset.premise_capacity)
+    for spec in (ModelSpec("gbt", tree_count=10, subsample=0.6, seed=3), ModelSpec("lgr")):
+        outcomes = run_cell_detailed(
+            tiny_dataset, enc, spec, folds, inner_cv=inner_cv, hard_stage1=hard_stage1, seed=2
+        )
+        expected = _per_fold_reference(tiny_dataset, enc, spec, folds, inner_cv, hard_stage1, 2)
+        assert len(outcomes) == len(expected)
+        for outcome, (scores, train) in zip(outcomes, expected):
+            assert outcome.scores.tobytes() == scores.tobytes()
+            assert np.array_equal(outcome.stage1_train_indices, train)
 
 
 def test_two_stage_cw_uses_conclusion_block(tiny_dataset):

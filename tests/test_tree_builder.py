@@ -2,17 +2,32 @@
 
 Every fitted forest and boosted model must serialize exactly as the
 recursive builder in ``tree_oracle`` grows it, and score every row with the
-same bits as that builder's one-node-at-a-time prediction.
+same bits as that builder's one-node-at-a-time prediction. A batch fitted
+by ``fit_each`` must give, problem by problem, the models ``fit`` gives.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_oracle
-from argstruct.models import ModelSpec, fit, predict_score
+from argstruct.evaluation import stratified_kfold
+from argstruct.experiment import design_matrices
+from argstruct.models import (
+    MODEL_FAMILIES,
+    DimensionMismatchError,
+    ModelSpec,
+    NonFiniteInputError,
+    fit,
+    fit_each,
+    predict_score,
+)
 from argstruct.models.persist import model_to_dict
 from argstruct.models.tree import gini_gain, grow_trees
+from argstruct.synth import GeneratorConfig, generate
 
 BINARY_VALUES = st.sampled_from([0.0, 1.0])
 # few distinct values, so columns tie; 0 and 1 among them, so some nodes see
@@ -87,3 +102,103 @@ def test_gini_tie_between_complementary_columns_follows_recursive_builder():
         X, t, np.arange(4), w, 1, tree_oracle.gini_gain, lambda idx, w: 0.0, binary=True
     )
     assert trees.feature[trees.roots[0]] == root.feature == 0
+
+
+@st.composite
+def batches(draw):
+    """1-5 problems of one width and different row counts. Each column is 0/1,
+    few-valued continuous or constant in every problem; rows repeat."""
+    d = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["binary", "continuous", "constant"]),
+                          min_size=d, max_size=d))
+    column = [
+        {"binary": BINARY_VALUES, "continuous": CONTINUOUS_VALUES,
+         "constant": st.just(2.0)}[kind]
+        for kind in kinds
+    ]
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        pool = draw(st.lists(st.tuples(*column), min_size=2, max_size=30))
+        n = draw(st.integers(4, 60))
+        X = np.array([pool[i] for i in draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=n, max_size=n))], dtype=float)
+        y = np.array(draw(st.lists(BINARY_VALUES, min_size=n, max_size=n)))
+        y[:2] = 0.0, 1.0
+        batch.append((X, y))
+    return batch
+
+
+def _spec(family, depth, subsample, seed):
+    if family in ("lgr", "svm"):
+        return ModelSpec(family, max_iter=50, seed=seed)
+    if family == "rforest":
+        return ModelSpec(family, tree_count=4, max_depth=2 * depth, seed=seed)
+    return ModelSpec(family, tree_count=5, max_depth=depth, subsample=subsample, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=batches(),
+    family=st.sampled_from(MODEL_FAMILIES),
+    depth=st.integers(1, 4),
+    subsample=st.sampled_from([1.0, 0.6]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed):
+    spec = _spec(family, depth, subsample, seed)
+    rows = np.vstack([X for X, _ in batch] + [1.0 - X for X, _ in batch])
+    models = fit_each(spec, batch)
+    assert len(models) == len(batch)
+    for model, (X, y) in zip(models, batch):
+        alone = fit(spec, X, y)
+        assert model_to_dict(model) == model_to_dict(alone)
+        assert predict_score(model, rows).tobytes() == predict_score(alone, rows).tobytes()
+        if family == "gbt":
+            expected = tree_oracle.gbt_dict(spec, X, y)
+            assert model_to_dict(model) == expected
+            assert predict_score(model, rows).tobytes() == tree_oracle.scores(expected, rows).tobytes()
+
+
+@pytest.mark.parametrize("family", MODEL_FAMILIES)
+def test_fit_each_rejects_mixed_widths(family):
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    batch = [(np.zeros((4, 2)), y), (np.zeros((4, 3)), y)]
+    with pytest.raises(DimensionMismatchError):
+        fit_each(_spec(family, 1, 1.0, 0), batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=batches(),
+    family=st.sampled_from(MODEL_FAMILIES),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    data=st.data(),
+)
+def test_fit_each_rejects_non_finite_input_in_any_problem(batch, family, bad, data):
+    # in a stacked boosting fit, 0 * NaN would reach every problem's sums
+    i = data.draw(st.integers(0, len(batch) - 1))
+    X, y = batch[i]
+    row = data.draw(st.integers(0, len(X) - 1))
+    if data.draw(st.booleans()):
+        X[row, data.draw(st.integers(0, X.shape[1] - 1))] = bad
+    else:
+        y[row] = bad
+    with pytest.raises(NonFiniteInputError):
+        fit_each(ModelSpec(family), batch)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_fit_each_matches_recursive_builder_on_corpus_folds(subsample):
+    # corpus-sized folds: nodes of a hundred rows and many equal or
+    # complementary columns, where the order of a node's float sums decides
+    # near-tied splits
+    dataset = generate(GeneratorConfig(mode="table1", n_hateful=120, n_nonhateful=80, seed=5))
+    y = np.asarray(dataset.labels(), dtype=float)
+    X = design_matrices(dataset, ["arg-str-cw"])["arg-str-cw"]
+    score = np.random.default_rng(5).integers(0, 9, len(X)) / 8.0  # a stage-1-like column
+    X = np.hstack([X, score[:, None]])
+    folds = stratified_kfold(dataset.labels(), 5, seed=5)
+    trains = [folds.train_indices(fold) for fold in range(5)]
+    spec = ModelSpec("gbt", tree_count=10, subsample=subsample, seed=5)
+    for model, train in zip(fit_each(spec, [(X[t], y[t]) for t in trains]), trains):
+        assert model_to_dict(model) == tree_oracle.gbt_dict(spec, X[train], y[train])
