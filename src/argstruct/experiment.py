@@ -8,12 +8,23 @@ rows and its predictions on held-out premises feed the test rows, so the
 test fold never leaks into stage-1 training. A cell fits its k folds stage by
 stage through ``models.fit_each``, which lets boosting grow the k folds'
 trees together.
+
+The grid runs as tasks: cells whose fold fits have the same content key
+(model spec, design-matrix family, train rows) form one task, so a two-stage
+cell takes its stage-1 models from the premise-only cell of the same model
+instead of fitting them again. A shared fit is kept only until its last use
+(``_SharedFits``). Inner-CV fits are never shared, because their rows differ.
 """
 
+import hashlib
 import json
 import os
+import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -112,6 +123,38 @@ def _inner_seed(seed: int, fold: int) -> int:
     return seed * 1000003 + fold + 1
 
 
+def _fit_key(model_spec: ModelSpec, family: str, trains) -> tuple:
+    """Content key of k fold fits: spec, design-matrix family, train rows."""
+    # blake2b is built in; a first OpenSSL sha256 call sets up library state
+    # that each forked pool worker then carries (about 0.4 MB per worker)
+    digest = hashlib.blake2b()
+    for train in trains:
+        rows = np.asarray(train, dtype=np.int64)
+        digest.update(np.int64(len(rows)).tobytes() + rows.tobytes())
+    return model_spec, family, digest.hexdigest()
+
+
+class _SharedFits:
+    """A task's fold fits: ``keys`` holds a ``_fit_key`` once per cell that
+    asks for it. The first asker fits the models; they are kept only while a
+    later cell needs them."""
+
+    def __init__(self, keys=()):
+        self._uses = Counter(keys)
+        self._models = {}
+
+    def fit_each(self, model_spec, family, designs, y, trains):
+        """One model per fold, fitted on the fold's training rows of its design."""
+        key = _fit_key(model_spec, family, trains)
+        models = self._models.pop(key, None)
+        if models is None:
+            models = fit_each(model_spec, [(X[t], y[t]) for X, t in zip(designs, trains)])
+        self._uses[key] -= 1
+        if self._uses[key] > 0:
+            self._models[key] = models
+        return models
+
+
 def _inner_cv_scores(model_spec, X1, y, train, k, seed, fold):
     """Stage-1 scores of a fold's training rows, each from a model not fitted on it."""
     inner = stratified_kfold(y[train], k, seed=_inner_seed(seed, fold))
@@ -123,10 +166,10 @@ def _inner_cv_scores(model_spec, X1, y, train, k, seed, fold):
     return scores
 
 
-def _stage2_designs(dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed):
+def _stage2_designs(dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed, shared):
     """Each fold's stage-2 design, on stage-1 models fitted inside its training rows."""
     trains = [folds.train_indices(fold) for fold in range(folds.k)]
-    stage1 = fit_each(model_spec, [(X1[train], y[train]) for train in trains])
+    stage1 = shared.fit_each(model_spec, stage_one_spec(enc).family, [X1] * folds.k, y, trains)
     designs = []
     for fold, (train, s1_model) in enumerate(zip(trains, stage1)):
         test = folds.test_indices(fold)
@@ -154,20 +197,23 @@ def run_cell_detailed(
     hard_stage1: bool = False,
     matrices: dict | None = None,
     seed: int = 0,
+    shared_fits: _SharedFits | None = None,
 ) -> list[FoldOutcome]:
-    """Evaluate one (encoding, model) cell fold by fold."""
+    """Evaluate one (encoding, model) cell fold by fold; ``shared_fits``
+    carries the fold fits of its grid task, if any."""
     if matrices is None:
         matrices = design_matrices(dataset, [enc.family])
+    shared = shared_fits if shared_fits is not None else _SharedFits()
     y = np.asarray(dataset.labels(), dtype=float)
     if enc.two_stage:
         X1 = matrices[stage_one_spec(enc).family]
         designs = _stage2_designs(
-            dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed
+            dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed, shared
         )
     else:
         designs = [matrices[enc.family]] * folds.k
     trains = [folds.train_indices(fold) for fold in range(folds.k)]
-    fitted = fit_each(model_spec, [(X[train], y[train]) for X, train in zip(designs, trains)])
+    fitted = shared.fit_each(model_spec, enc.family, designs, y, trains)
     outcomes = []
     for fold, (X, train, model) in enumerate(zip(designs, trains, fitted)):
         test = folds.test_indices(fold)
@@ -187,22 +233,9 @@ def run_cell_detailed(
     return outcomes
 
 
-def run_cell(
-    dataset: Dataset,
-    enc: EncodingSpec,
-    model_spec: ModelSpec,
-    folds: FoldAssignment,
-    inner_cv: bool = False,
-    hard_stage1: bool = False,
-    matrices: dict | None = None,
-    seed: int = 0,
-) -> list[MetricSet]:
-    return [
-        o.metrics
-        for o in run_cell_detailed(
-            dataset, enc, model_spec, folds, inner_cv, hard_stage1, matrices, seed
-        )
-    ]
+def run_cell(*args, **kwargs) -> list[MetricSet]:
+    """The fold metrics of ``run_cell_detailed`` (same arguments)."""
+    return [o.metrics for o in run_cell_detailed(*args, **kwargs)]
 
 
 def _ordered_cells(cfg: ExperimentConfig):
@@ -211,24 +244,37 @@ def _ordered_cells(cfg: ExperimentConfig):
     return [(e, m) for e in encodings for m in models]
 
 
-def _evaluate_cell(dataset, cfg, folds, matrices, cell) -> CellResult:
-    family, model_spec = cell
-    metrics = run_cell(
-        dataset,
-        EncodingSpec(family, dataset.premise_capacity),
-        model_spec,
-        folds,
-        inner_cv=cfg.inner_cv,
-        hard_stage1=cfg.hard_stage1,
-        matrices=matrices,
-        seed=cfg.seed,
-    )
-    return CellResult(
-        encoding=family,
-        model=model_spec.family,
-        fold_metrics=tuple(metrics),
-        aggregates=aggregate(metrics, sample_std=cfg.sample_std),
-    )
+def _tasks(cells, capacity, trains) -> list[tuple[list[int], list]]:
+    """Group the cells whose fold fits share a ``_fit_key`` into tasks.
+
+    Each task is (its cell indices in grid order, the key of every fit batch
+    its cells ask for, inner CV aside); multi-cell tasks, the costliest, come
+    first, then the rest by their first cell.
+    """
+    groups = []
+    for i, (family, model_spec) in enumerate(cells):
+        enc = EncodingSpec(family, capacity)
+        families = [family, stage_one_spec(enc).family] if enc.two_stage else [family]
+        members, keys = [i], [_fit_key(model_spec, f, trains) for f in families]
+        for group in [g for g in groups if set(g[1]) & set(keys)]:
+            groups.remove(group)
+            members, keys = group[0] + members, group[1] + keys
+        groups.append((sorted(members), keys))
+    return sorted(groups, key=lambda group: (len(group[0]) == 1, group[0][0]))
+
+
+def _run_task(dataset, cfg, folds, matrices, task) -> list[CellResult]:
+    """Evaluate a task's cells in order, each shared fold fit made once."""
+    cells, keys = task
+    shared = _SharedFits(keys)
+    rows = []
+    for family, model_spec in cells:
+        enc = EncodingSpec(family, dataset.premise_capacity)
+        metrics = run_cell(dataset, enc, model_spec, folds, cfg.inner_cv, cfg.hard_stage1,
+                           matrices, cfg.seed, shared)
+        aggregates = aggregate(metrics, sample_std=cfg.sample_std)
+        rows.append(CellResult(family, model_spec.family, tuple(metrics), aggregates))
+    return rows
 
 
 _WORKER_STATE: dict = {}
@@ -238,33 +284,56 @@ def _init_worker(dataset, cfg, folds, matrices):
     _WORKER_STATE["grid"] = (dataset, cfg, folds, matrices)
 
 
-def _worker_evaluate(cell) -> CellResult:
-    dataset, cfg, folds, matrices = _WORKER_STATE["grid"]
-    return _evaluate_cell(dataset, cfg, folds, matrices, cell)
+def _worker_run_task(task) -> list[CellResult]:
+    return _run_task(*_WORKER_STATE["grid"], task)
+
+
+def _pool_results(grid, tasks, workers):
+    """Each task's rows from a process pool, or None if the pool cannot start
+    (an OSError creating it or submitting to it, or a broken pool). An error
+    raised by a cell's own computation propagates unchanged."""
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=grid)
+        futures = [pool.submit(_worker_run_task, task) for task in tasks]
+    except (OSError, BrokenProcessPool) as exc:
+        failure = exc
+    else:
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            failure = exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    sys.stderr.write(
+        f"warning: process pool unavailable ({failure!r}); running the grid serially\n"
+    )
+    return None
 
 
 def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (encoding, model) cell on one shared fold assignment.
 
-    Cells are independent pure computations; with jobs > 1 they run in worker
-    processes, and results are identical for every jobs value.
+    Cells that share fold fits run together as one task (``_tasks``). Tasks
+    are independent pure computations; with jobs > 1 they run in worker
+    processes (serially if the pool cannot start), and results are identical
+    for every jobs value.
     """
     folds = stratified_kfold(dataset.labels(), cfg.k, cfg.seed)
-    matrices = design_matrices(dataset, cfg.encodings)
+    grid = (dataset, cfg, folds, design_matrices(dataset, cfg.encodings))
     cells = _ordered_cells(cfg)
+    trains = [folds.train_indices(fold) for fold in range(cfg.k)]
+    tasks = _tasks(cells, dataset.premise_capacity, trains)
+    work = [([cells[i] for i in members], keys) for members, keys in tasks]
     jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)),
-            initializer=_init_worker,
-            initargs=(dataset, cfg, folds, matrices),
-        ) as pool:
-            rows = tuple(pool.map(_worker_evaluate, cells))
-    else:
-        rows = tuple(
-            _evaluate_cell(dataset, cfg, folds, matrices, cell) for cell in cells
-        )
-    return ExperimentReport(k=cfg.k, seed=cfg.seed, rows=rows)
+    results = None
+    if jobs > 1 and len(tasks) > 1:
+        results = _pool_results(grid, work, min(jobs, len(tasks)))
+    if results is None:
+        results = [_run_task(*grid, task) for task in work]
+    rows = dict(zip((i for members, _ in tasks for i in members), chain(*results)))
+    return ExperimentReport(k=cfg.k, seed=cfg.seed, rows=tuple(rows[i] for i in range(len(cells))))
 
 
 def _markdown(report: ExperimentReport) -> str:

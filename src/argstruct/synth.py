@@ -134,6 +134,19 @@ def _force_hateful_component(rng, premise_labels, conclusion_label):
     return premise_labels, conclusion_label
 
 
+def _collapse_cw(weights: dict) -> dict:
+    out: dict = {}
+    for (cw, _), count in weights.items():
+        out[cw] = out.get(cw, 0) + count
+    return out
+
+
+def _per_message(draws: list, counts) -> list[list]:
+    """Split one flat list of component draws into per-message lists."""
+    ends = np.cumsum(counts)
+    return [list(draws[end - k : end]) for end, k in zip(ends, counts)]
+
+
 def generate(cfg: GeneratorConfig) -> Dataset:
     """Generate a dataset per ``cfg``; deterministic per seed, and every
     produced message satisfies the structural invariants."""
@@ -146,90 +159,32 @@ def generate(cfg: GeneratorConfig) -> Dataset:
         rng, cfg.n_nonhateful, cfg.nonhateful_premise_mean,
         cfg.nonhateful_premise_std, cfg.max_premises,
     )
-    if cfg.mode == "table1":
-        messages = _generate_table1(rng, cfg, k_hate, k_nonhate)
-    else:
-        messages = _generate_separable(rng, cfg, k_hate, k_nonhate)
-    return Dataset(tuple(messages))
-
-
-def _generate_table1(rng, cfg, k_hate, k_nonhate):
-    premise_pairs = _weighted_choice(rng, HATEFUL_PREMISE_WEIGHTS, int(k_hate.sum()))
-    conclusion_pairs = _weighted_choice(rng, HATEFUL_CONCLUSION_WEIGHTS, len(k_hate))
-    nh_premise_cw = _weighted_choice(
-        rng, NON_HATEFUL_PREMISE_CW_WEIGHTS, int(k_nonhate.sum())
-    )
-    nh_conclusion_cw = _weighted_choice(
-        rng, NON_HATEFUL_CONCLUSION_CW_WEIGHTS, len(k_nonhate)
-    )
+    separable = cfg.mode == "separable"
+    premise_weights, conclusion_weights = HATEFUL_PREMISE_WEIGHTS, HATEFUL_CONCLUSION_WEIGHTS
+    if separable:  # draw checkworthiness only; the hate labels are planted below
+        premise_weights = _collapse_cw(premise_weights)
+        conclusion_weights = _collapse_cw(conclusion_weights)
+    premises = _weighted_choice(rng, premise_weights, int(k_hate.sum()))
+    conclusions = _weighted_choice(rng, conclusion_weights, len(k_hate))
+    nh_premise_cw = _weighted_choice(rng, NON_HATEFUL_PREMISE_CW_WEIGHTS, int(k_nonhate.sum()))
+    nh_conclusion_cw = _weighted_choice(rng, NON_HATEFUL_CONCLUSION_CW_WEIGHTS, len(k_nonhate))
     messages = []
-    offset = 0
-    for i, k in enumerate(k_hate):
-        labels = list(premise_pairs[offset : offset + k])
-        offset += k
-        conclusion = conclusion_pairs[i]
-        if cfg.ensure_hateful_component:
+    for i, (labels, conclusion) in enumerate(zip(_per_message(premises, k_hate), conclusions)):
+        if separable:
+            bits = rng.random(len(labels)) < 0.5
+            labels = [
+                (cw, ComponentHate.HATEFUL if bit else ComponentHate.NON_HATEFUL)
+                for cw, bit in zip(labels, bits)
+            ]
+            # the hateful conclusion is the planted, stump-separable signal
+            conclusion = (conclusion, ComponentHate.HATEFUL)
+        elif cfg.ensure_hateful_component:
             labels, conclusion = _force_hateful_component(rng, labels, conclusion)
+        messages.append(_build_message(f"h{i:05d}", MessageLabel.HATEFUL, labels, conclusion))
+    unannotated = ComponentHate.UNANNOTATED
+    for i, (cws, cw) in enumerate(zip(_per_message(nh_premise_cw, k_nonhate), nh_conclusion_cw)):
+        labels = [(premise_cw, unannotated) for premise_cw in cws]
         messages.append(
-            _build_message(f"h{i:05d}", MessageLabel.HATEFUL, labels, conclusion)
+            _build_message(f"n{i:05d}", MessageLabel.NON_HATEFUL, labels, (cw, unannotated))
         )
-    offset = 0
-    for i, k in enumerate(k_nonhate):
-        labels = [
-            (cw, ComponentHate.UNANNOTATED)
-            for cw in nh_premise_cw[offset : offset + k]
-        ]
-        offset += k
-        conclusion = (nh_conclusion_cw[i], ComponentHate.UNANNOTATED)
-        messages.append(
-            _build_message(f"n{i:05d}", MessageLabel.NON_HATEFUL, labels, conclusion)
-        )
-    return messages
-
-
-def _collapse_cw(weights: dict) -> dict:
-    out: dict = {}
-    for (cw, _), count in weights.items():
-        out[cw] = out.get(cw, 0) + count
-    return out
-
-
-def _generate_separable(rng, cfg, k_hate, k_nonhate):
-    hate_premise_cw = _weighted_choice(
-        rng, _collapse_cw(HATEFUL_PREMISE_WEIGHTS), int(k_hate.sum())
-    )
-    hate_conclusion_cw = _weighted_choice(
-        rng, _collapse_cw(HATEFUL_CONCLUSION_WEIGHTS), len(k_hate)
-    )
-    nh_premise_cw = _weighted_choice(
-        rng, NON_HATEFUL_PREMISE_CW_WEIGHTS, int(k_nonhate.sum())
-    )
-    nh_conclusion_cw = _weighted_choice(
-        rng, NON_HATEFUL_CONCLUSION_CW_WEIGHTS, len(k_nonhate)
-    )
-    messages = []
-    offset = 0
-    for i, k in enumerate(k_hate):
-        bits = rng.random(k) < 0.5
-        labels = [
-            (cw, ComponentHate.HATEFUL if bits[j] else ComponentHate.NON_HATEFUL)
-            for j, cw in enumerate(hate_premise_cw[offset : offset + k])
-        ]
-        offset += k
-        # the hateful conclusion is the planted, stump-separable signal
-        conclusion = (hate_conclusion_cw[i], ComponentHate.HATEFUL)
-        messages.append(
-            _build_message(f"h{i:05d}", MessageLabel.HATEFUL, labels, conclusion)
-        )
-    offset = 0
-    for i, k in enumerate(k_nonhate):
-        labels = [
-            (cw, ComponentHate.UNANNOTATED)
-            for cw in nh_premise_cw[offset : offset + k]
-        ]
-        offset += k
-        conclusion = (nh_conclusion_cw[i], ComponentHate.UNANNOTATED)
-        messages.append(
-            _build_message(f"n{i:05d}", MessageLabel.NON_HATEFUL, labels, conclusion)
-        )
-    return messages
+    return Dataset(tuple(messages))

@@ -1,4 +1,7 @@
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from argstruct.experiment import (
     run_cell_detailed,
     run_grid,
 )
-from argstruct.models import ModelSpec, fit, threshold
+from argstruct.models import ModelSpec, SingleClassError, fit, threshold
 from argstruct.synth import GeneratorConfig, generate
 from messages import make_message
 
@@ -80,14 +83,197 @@ def test_grid_deterministic(tiny_dataset):
 
 
 def test_grid_independent_of_job_count(tiny_dataset):
-    cfg_base = dict(
-        encodings=("arg-str", "arg-str-c-given-p"),
+    cfg = ExperimentConfig(
+        encodings=("arg-str", "arg-str-p", "arg-str-c-given-p", "arg-str-p-cw",
+                   "arg-str-c-given-p-cw"),
         models=(ModelSpec("lgr"), ModelSpec("gbt", tree_count=10)),
         k=2,
+        jobs=1,
     )
-    sequential = run_grid(tiny_dataset, ExperimentConfig(jobs=1, **cfg_base))
-    parallel = run_grid(tiny_dataset, ExperimentConfig(jobs=2, **cfg_base))
-    assert sequential == parallel
+    sequential = run_grid(tiny_dataset, cfg)
+    for jobs in (2, 3):
+        parallel = run_grid(tiny_dataset, replace(cfg, jobs=jobs))
+        assert parallel == sequential
+        for fmt in ("markdown", "csv", "json"):
+            assert emit_report(parallel, fmt) == emit_report(sequential, fmt)
+
+
+def _count_fold_fits(monkeypatch):
+    """Record the number of problems of every ``fit_each`` call and the cells
+    evaluated through ``run_cell``."""
+    fits, cells = [], []
+    fit_each, run_cell = experiment.fit_each, experiment.run_cell
+
+    def counting_fit_each(spec, problems):
+        problems = list(problems)
+        fits.append(len(problems))
+        return fit_each(spec, problems)
+
+    def counting_run_cell(dataset, enc, *args, **kwargs):
+        cells.append(enc.family)
+        return run_cell(dataset, enc, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_each", counting_fit_each)
+    monkeypatch.setattr(experiment, "run_cell", counting_run_cell)
+    return fits, cells
+
+
+def test_grid_fits_each_shared_fold_model_once(tiny_dataset, monkeypatch):
+    k = 5
+    fits, cells = _count_fold_fits(monkeypatch)
+    run_grid(tiny_dataset, ExperimentConfig(models=FAST_MODELS, k=k, jobs=1))
+    assert sum(fits) == 8 * k * len(FAST_MODELS)  # 160, not 10 * k * M = 200
+    assert len(cells) == 8 * len(FAST_MODELS)
+
+
+def test_inner_cv_adds_k_squared_fits_per_two_stage_cell(tiny_dataset, monkeypatch):
+    k, specs = 3, (ModelSpec("lgr"), ModelSpec("gbt", tree_count=5))
+    fits, _ = _count_fold_fits(monkeypatch)
+    cfg = ExperimentConfig(models=specs, k=k, jobs=1)
+    run_grid(tiny_dataset, cfg)
+    plain = sum(fits)
+    fits.clear()
+    run_grid(tiny_dataset, replace(cfg, inner_cv=True))
+    assert plain == 8 * k * len(specs)
+    assert sum(fits) - plain == 2 * len(specs) * k * k
+
+
+def _grid_outcomes(dataset, cfg, monkeypatch):
+    """Run a serial grid and keep every cell's fold outcomes, in grid order."""
+    recorded = []
+    detailed = experiment.run_cell_detailed
+
+    def recording(dataset, enc, model_spec, *args, **kwargs):
+        outcomes = detailed(dataset, enc, model_spec, *args, **kwargs)
+        recorded.append((enc, model_spec, outcomes))
+        return outcomes
+
+    monkeypatch.setattr(experiment, "run_cell_detailed", recording)
+    run_grid(dataset, replace(cfg, jobs=1))
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "encodings, models, inner_cv, hard_stage1",
+    [
+        # two-stage cells with no premise-only counterpart to share with
+        (("arg-str-c-given-p", "arg-str-c-given-p-cw"), FAST_MODELS, False, False),
+        # one family under two hyperparameter settings
+        (
+            ("arg-str-p", "arg-str-c-given-p", "arg-str-p-cw", "arg-str-c-given-p-cw"),
+            (ModelSpec("lgr", learning_rate=0.1), ModelSpec("lgr", learning_rate=0.05),
+             ModelSpec("gbt", tree_count=8, subsample=0.6, seed=1),
+             ModelSpec("gbt", tree_count=8, subsample=0.6, seed=2)),
+            False,
+            False,
+        ),
+        (("arg-str-p", "arg-str-c-given-p", "arg-str-p-cw", "arg-str-c-given-p-cw"),
+         FAST_MODELS, True, False),
+        (("arg-str-p", "arg-str-c-given-p", "arg-str-p-cw", "arg-str-c-given-p-cw"),
+         FAST_MODELS, True, True),
+    ],
+)
+def test_shared_fits_match_standalone_cells(
+    tiny_dataset, monkeypatch, encodings, models, inner_cv, hard_stage1
+):
+    cfg = ExperimentConfig(
+        encodings=encodings, models=models, k=3, seed=4, inner_cv=inner_cv,
+        hard_stage1=hard_stage1,
+    )
+    recorded = _grid_outcomes(tiny_dataset, cfg, monkeypatch)
+    assert len(recorded) == len(encodings) * len(models)
+    folds = stratified_kfold(tiny_dataset.labels(), 3, seed=4)
+    for enc, spec, outcomes in recorded:
+        alone = run_cell_detailed(
+            tiny_dataset, enc, spec, folds, inner_cv=inner_cv, hard_stage1=hard_stage1, seed=4
+        )
+        assert len(outcomes) == len(alone)
+        for shared, own in zip(outcomes, alone):
+            assert shared.scores.tobytes() == own.scores.tobytes()
+            if enc.two_stage:
+                assert np.array_equal(shared.stage1_train_indices, own.stage1_train_indices)
+
+
+def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset):
+    cfg = ExperimentConfig(models=FAST_MODELS, k=3)
+    cells = experiment._ordered_cells(cfg)
+    folds = stratified_kfold(tiny_dataset.labels(), 3, seed=0)
+    trains = [folds.train_indices(fold) for fold in range(3)]
+    tasks = experiment._tasks(cells, tiny_dataset.premise_capacity, trains)
+    tasks = [members for members, _ in tasks]
+    assert len(tasks) == 24
+    assert sorted(i for task in tasks for i in task) == list(range(32))
+    pairs = [[cells[i] for i in task] for task in tasks[:8]]
+    for pair in pairs:
+        (premise, spec), (two_stage, other) = pair
+        assert spec == other
+        assert (premise, two_stage) in (
+            ("arg-str-p", "arg-str-c-given-p"), ("arg-str-p-cw", "arg-str-c-given-p-cw")
+        )
+    assert all(len(task) == 1 for task in tasks[8:])
+
+
+class _NoPool:
+    """Stands in for ProcessPoolExecutor; fails the way ``failure`` names."""
+
+    failure = "create"
+
+    def __init__(self, max_workers, initializer, initargs):
+        if self.failure == "create":
+            raise OSError(11, "Resource temporarily unavailable")
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        if self.failure == "submit":
+            raise OSError(12, "Cannot allocate memory")
+        future = Future()
+        if self.failure == "broken":
+            future.set_exception(BrokenProcessPool("a worker died"))
+            return future
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - handed to the caller as a pool would
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("failure", ["create", "submit", "broken"])
+def test_grid_falls_back_to_serial_when_pool_cannot_start(
+    tiny_dataset, monkeypatch, capsys, failure
+):
+    cfg = ExperimentConfig(
+        encodings=("arg-str", "arg-str-p", "arg-str-c-given-p"),
+        models=(ModelSpec("lgr"), ModelSpec("gbt", tree_count=5)),
+        k=2,
+        jobs=1,
+    )
+    serial = run_grid(tiny_dataset, cfg)
+    capsys.readouterr()
+    monkeypatch.setattr(_NoPool, "failure", failure)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _NoPool)
+    fallback = run_grid(tiny_dataset, replace(cfg, jobs=2))
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "running the grid serially" in err
+    for fmt in ("markdown", "csv", "json"):
+        assert emit_report(fallback, fmt) == emit_report(serial, fmt)
+
+
+def test_cell_error_in_pool_propagates_unchanged(tiny_dataset, monkeypatch, capsys):
+    def single_class(spec, problems):
+        raise SingleClassError("training labels contain a single class")
+
+    monkeypatch.setattr(_NoPool, "failure", None)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(experiment, "fit_each", single_class)
+    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-p"), models=(ModelSpec("lgr"),), k=2,
+                           jobs=2)
+    with pytest.raises(SingleClassError):
+        run_grid(tiny_dataset, cfg)
+    assert capsys.readouterr().err == ""
 
 
 def test_single_class_dataset_fails_at_split():
