@@ -16,7 +16,7 @@ from .data import (
     validate_message,
     write_dataset,
 )
-from .encodings import FAMILIES, EncodingSpec, encode, encode_dataset, encoding_length
+from .encodings import FAMILIES, EncodingSpec, encode, encode_dataset
 from .evaluation import (
     ConfusionMatrix,
     FoldAssignment,
@@ -33,7 +33,7 @@ from .experiment import (
     run_cell,
     run_grid,
 )
-from .models import ModelSpec, fit, predict, predict_score
+from .models import ModelSpec, fit
 from .synth import GeneratorConfig, generate
 
 __version__ = "0.1.0"
@@ -61,14 +61,11 @@ __all__ = [
     "emit_report",
     "encode",
     "encode_dataset",
-    "encoding_length",
     "fit",
     "generate",
     "load_dataset",
     "macro_metrics",
     "parse_dataset",
-    "predict",
-    "predict_score",
     "run_cell",
     "run_grid",
     "stratified_kfold",

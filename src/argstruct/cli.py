@@ -30,6 +30,7 @@ from .encodings import (
     EncodingSpec,
     MissingStageOneScoreError,
     PremiseOverflowError,
+    StageOneScoreError,
     UnexpectedStageOneScoreError,
     encode_dataset,
     feature_names,
@@ -59,14 +60,7 @@ from .synth import MODES, GeneratorConfig, InvalidConfigError, generate
 
 DATA_DIR_ENV = "ARGSTRUCT_DATA_DIR"
 
-_MODEL_ALIASES = {
-    "lgr": "lgr",
-    "svm": "svm",
-    "rforest": "rforest",
-    "gbt": "gbt",
-    "xgb": "gbt",
-    "xgb-style-gbt": "gbt",
-}
+_MODEL_ALIASES = {**{family: family for family in MODEL_ORDER}, "xgb": "gbt"}
 
 _DATA_ERRORS = (
     ValidationError,
@@ -75,6 +69,7 @@ _DATA_ERRORS = (
     PremiseOverflowError,
     MissingStageOneScoreError,
     UnexpectedStageOneScoreError,
+    StageOneScoreError,
     ClassTooSmallError,
     KTooSmallError,
     LengthMismatchError,
@@ -351,11 +346,19 @@ def cmd_encode(args) -> int:
                 "message id to score); scores are fold-dependent model "
                 "outputs, produced by the run subcommand"
             )
-        by_id = json.loads(Path(args.stage1_scores).read_text(encoding="utf-8"))
+        try:
+            by_id = json.loads(Path(args.stage1_scores).read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise StageOneScoreError(f"cannot decode {args.stage1_scores}: {exc}") from exc
+        if not isinstance(by_id, dict):
+            raise StageOneScoreError(f"{args.stage1_scores} must hold a JSON object")
         missing = [m.id for m in d if m.id not in by_id]
         if missing:
             raise MalformedRecordError(0, f"no stage-1 score for ids {missing[:5]}")
-        scores = [float(by_id[m.id]) for m in d]
+        try:
+            scores = [float(by_id[m.id]) for m in d]
+        except (TypeError, ValueError) as exc:
+            raise StageOneScoreError(f"stage-1 scores must be numbers: {exc}") from exc
     elif args.stage1_scores:
         raise UsageError(f"{spec.family} does not take --stage1-scores")
     X = encode_dataset(d, spec, stage1_scores=scores, truncate=args.truncate)
@@ -471,7 +474,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _apply_config_file(argv, args, subparsers) -> argparse.Namespace | None:
+def _apply_config_file(argv, args, parser, subparsers) -> argparse.Namespace | None:
     config_path = getattr(args, "config", None)
     if not config_path:
         return None
@@ -486,9 +489,8 @@ def _apply_config_file(argv, args, subparsers) -> argparse.Namespace | None:
     unknown = [k for k in values if k not in valid]
     if unknown:
         raise UsageError(f"unknown config keys {unknown}")
-    fresh_parser, fresh_subs = build_parser()
-    fresh_subs[args.command].set_defaults(**values)
-    return fresh_parser.parse_args(argv)
+    sub.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -499,7 +501,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        reparsed = _apply_config_file(argv, args, subparsers)
+        reparsed = _apply_config_file(argv, args, parser, subparsers)
         if reparsed is not None:
             args = reparsed
         return args.func(args)

@@ -68,6 +68,10 @@ class UnexpectedStageOneScoreError(Exception):
     pass
 
 
+class StageOneScoreError(ValueError):
+    """A stage-1 score that is not a number in [0, 1]."""
+
+
 @dataclass(frozen=True)
 class EncodingSpec:
     """An encoding family plus the premise slot capacity L."""
@@ -91,15 +95,11 @@ class EncodingSpec:
 
     @property
     def length(self) -> int:
-        return encoding_length(self)
-
-
-def encoding_length(spec: EncodingSpec) -> int:
-    lay, L = spec.layout, spec.capacity
-    if lay.two_stage:
-        return 2 + (3 if lay.cw else 0)
-    slots = L + (1 if lay.conclusion else 0)
-    return slots * (4 if lay.cw else 1) + ((L + 1) if lay.hs else 0)
+        lay, L = self.layout, self.capacity
+        if lay.two_stage:
+            return 2 + (3 if lay.cw else 0)
+        slots = L + (1 if lay.conclusion else 0)
+        return slots * (4 if lay.cw else 1) + ((L + 1) if lay.hs else 0)
 
 
 def stage_one_spec(spec: EncodingSpec) -> EncodingSpec:
@@ -177,7 +177,7 @@ def encode(
                 f"{spec.family} requires a stage-1 score for message {m.id!r}"
             )
         if not 0.0 <= stage1_score <= 1.0:
-            raise ValueError(f"stage-1 score must be in [0, 1], got {stage1_score}")
+            raise StageOneScoreError(f"stage-1 score must be in [0, 1], got {stage1_score}")
         head = np.array([float(stage1_score), 1.0])
         if not lay.cw:
             return head
@@ -219,7 +219,7 @@ def encode_dataset(
     stage1_scores=None,
     truncate: bool = False,
 ) -> np.ndarray:
-    """Stack per-message encodings into an (n, encoding_length) design matrix."""
+    """Stack per-message encodings into an (n, spec.length) design matrix."""
     if spec.two_stage:
         if stage1_scores is None:
             raise MissingStageOneScoreError(

@@ -9,18 +9,16 @@ test fold never leaks into stage-1 training. A cell fits its k folds stage by
 stage through ``models.fit_each``, which lets boosting grow the k folds'
 trees together.
 
-The grid runs as tasks: cells whose fold fits have the same content key
-(model spec, design-matrix family, train rows) form one task, so a two-stage
-cell takes its stage-1 models from the premise-only cell of the same model
-instead of fitting them again. A shared fit is kept only until its last use
-(``_SharedFits``). Inner-CV fits are never shared, because their rows differ.
+The grid runs as tasks: a two-stage cell runs with the premise-only cell of
+its stage-1 family (``encodings.stage_one_spec``) and the same model spec,
+and takes that cell's k fold models as its stage 1 instead of fitting them
+again. The models are dropped when the two-stage cell takes them. Inner-CV
+fits are never shared, because their rows differ.
 """
 
-import hashlib
 import json
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -123,38 +121,6 @@ def _inner_seed(seed: int, fold: int) -> int:
     return seed * 1000003 + fold + 1
 
 
-def _fit_key(model_spec: ModelSpec, family: str, trains) -> tuple:
-    """Content key of k fold fits: spec, design-matrix family, train rows."""
-    # blake2b is built in; a first OpenSSL sha256 call sets up library state
-    # that each forked pool worker then carries (about 0.4 MB per worker)
-    digest = hashlib.blake2b()
-    for train in trains:
-        rows = np.asarray(train, dtype=np.int64)
-        digest.update(np.int64(len(rows)).tobytes() + rows.tobytes())
-    return model_spec, family, digest.hexdigest()
-
-
-class _SharedFits:
-    """A task's fold fits: ``keys`` holds a ``_fit_key`` once per cell that
-    asks for it. The first asker fits the models; they are kept only while a
-    later cell needs them."""
-
-    def __init__(self, keys=()):
-        self._uses = Counter(keys)
-        self._models = {}
-
-    def fit_each(self, model_spec, family, designs, y, trains):
-        """One model per fold, fitted on the fold's training rows of its design."""
-        key = _fit_key(model_spec, family, trains)
-        models = self._models.pop(key, None)
-        if models is None:
-            models = fit_each(model_spec, [(X[t], y[t]) for X, t in zip(designs, trains)])
-        self._uses[key] -= 1
-        if self._uses[key] > 0:
-            self._models[key] = models
-        return models
-
-
 def _inner_cv_scores(model_spec, X1, y, train, k, seed, fold):
     """Stage-1 scores of a fold's training rows, each from a model not fitted on it."""
     inner = stratified_kfold(y[train], k, seed=_inner_seed(seed, fold))
@@ -166,10 +132,12 @@ def _inner_cv_scores(model_spec, X1, y, train, k, seed, fold):
     return scores
 
 
-def _stage2_designs(dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed, shared):
-    """Each fold's stage-2 design, on stage-1 models fitted inside its training rows."""
+def _stage2_designs(dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed, stage1):
+    """Each fold's stage-2 design, on stage-1 models fitted inside its training
+    rows: ``stage1``, the premise-only cell's fold models, or fitted here if None."""
     trains = [folds.train_indices(fold) for fold in range(folds.k)]
-    stage1 = shared.fit_each(model_spec, stage_one_spec(enc).family, [X1] * folds.k, y, trains)
+    if stage1 is None:
+        stage1 = fit_each(model_spec, [(X1[t], y[t]) for t in trains])
     designs = []
     for fold, (train, s1_model) in enumerate(zip(trains, stage1)):
         test = folds.test_indices(fold)
@@ -197,23 +165,29 @@ def run_cell_detailed(
     hard_stage1: bool = False,
     matrices: dict | None = None,
     seed: int = 0,
-    shared_fits: _SharedFits | None = None,
+    stage1: dict | None = None,
 ) -> list[FoldOutcome]:
-    """Evaluate one (encoding, model) cell fold by fold; ``shared_fits``
-    carries the fold fits of its grid task, if any."""
+    """Evaluate one (encoding, model) cell fold by fold.
+
+    ``stage1`` is its grid task's premise-only fold models, keyed by family:
+    a premise-only cell whose family is a key stores its k models there, and
+    a two-stage cell pops its stage-1 family's models (or fits its own)."""
     if matrices is None:
         matrices = design_matrices(dataset, [enc.family])
-    shared = shared_fits if shared_fits is not None else _SharedFits()
+    stage1 = {} if stage1 is None else stage1
     y = np.asarray(dataset.labels(), dtype=float)
     if enc.two_stage:
-        X1 = matrices[stage_one_spec(enc).family]
+        family = stage_one_spec(enc).family
         designs = _stage2_designs(
-            dataset, enc, model_spec, X1, y, folds, inner_cv, hard_stage1, seed, shared
+            dataset, enc, model_spec, matrices[family], y, folds, inner_cv, hard_stage1, seed,
+            stage1.pop(family, None),
         )
     else:
         designs = [matrices[enc.family]] * folds.k
     trains = [folds.train_indices(fold) for fold in range(folds.k)]
-    fitted = shared.fit_each(model_spec, enc.family, designs, y, trains)
+    fitted = fit_each(model_spec, [(X[t], y[t]) for X, t in zip(designs, trains)])
+    if enc.family in stage1:
+        stage1[enc.family] = fitted
     outcomes = []
     for fold, (X, train, model) in enumerate(zip(designs, trains, fitted)):
         test = folds.test_indices(fold)
@@ -244,34 +218,28 @@ def _ordered_cells(cfg: ExperimentConfig):
     return [(e, m) for e in encodings for m in models]
 
 
-def _tasks(cells, capacity, trains) -> list[tuple[list[int], list]]:
-    """Group the cells whose fold fits share a ``_fit_key`` into tasks.
-
-    Each task is (its cell indices in grid order, the key of every fit batch
-    its cells ask for, inner CV aside); multi-cell tasks, the costliest, come
-    first, then the rest by their first cell.
-    """
-    groups = []
+def _tasks(cells, capacity) -> list[list[int]]:
+    """Group cell indices into tasks by (premise-only family, model spec): a
+    two-stage cell joins the premise-only cell of its stage-1 family, every
+    other cell runs alone. Multi-cell tasks, the costliest, come first, then
+    the rest by their first cell."""
+    groups: dict[tuple, list[int]] = {}
     for i, (family, model_spec) in enumerate(cells):
         enc = EncodingSpec(family, capacity)
-        families = [family, stage_one_spec(enc).family] if enc.two_stage else [family]
-        members, keys = [i], [_fit_key(model_spec, f, trains) for f in families]
-        for group in [g for g in groups if set(g[1]) & set(keys)]:
-            groups.remove(group)
-            members, keys = group[0] + members, group[1] + keys
-        groups.append((sorted(members), keys))
-    return sorted(groups, key=lambda group: (len(group[0]) == 1, group[0][0]))
+        key = stage_one_spec(enc).family if enc.two_stage else family
+        groups.setdefault((key, model_spec), []).append(i)
+    return sorted(groups.values(), key=lambda members: (len(members) == 1, members[0]))
 
 
-def _run_task(dataset, cfg, folds, matrices, task) -> list[CellResult]:
-    """Evaluate a task's cells in order, each shared fold fit made once."""
-    cells, keys = task
-    shared = _SharedFits(keys)
+def _run_task(dataset, cfg, folds, matrices, cells) -> list[CellResult]:
+    """Evaluate a task's cells in grid order, so the premise-only cell fits
+    the stage-1 models its two-stage cell then takes."""
+    encs = [EncodingSpec(family, dataset.premise_capacity) for family, _ in cells]
+    stage1 = {stage_one_spec(enc).family: None for enc in encs if enc.two_stage}
     rows = []
-    for family, model_spec in cells:
-        enc = EncodingSpec(family, dataset.premise_capacity)
+    for enc, (family, model_spec) in zip(encs, cells):
         metrics = run_cell(dataset, enc, model_spec, folds, cfg.inner_cv, cfg.hard_stage1,
-                           matrices, cfg.seed, shared)
+                           matrices, cfg.seed, stage1)
         aggregates = aggregate(metrics, sample_std=cfg.sample_std)
         rows.append(CellResult(family, model_spec.family, tuple(metrics), aggregates))
     return rows
@@ -315,24 +283,25 @@ def _pool_results(grid, tasks, workers):
 def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
     """Run every (encoding, model) cell on one shared fold assignment.
 
-    Cells that share fold fits run together as one task (``_tasks``). Tasks
-    are independent pure computations; with jobs > 1 they run in worker
+    Each two-stage cell runs as one task with the premise-only cell of its
+    stage-1 family and model spec, and reuses that cell's fold models as its
+    stage 1 (``_tasks``); every other cell is a task of its own. Tasks are
+    independent pure computations; with jobs > 1 they run in worker
     processes (serially if the pool cannot start), and results are identical
     for every jobs value.
     """
     folds = stratified_kfold(dataset.labels(), cfg.k, cfg.seed)
     grid = (dataset, cfg, folds, design_matrices(dataset, cfg.encodings))
     cells = _ordered_cells(cfg)
-    trains = [folds.train_indices(fold) for fold in range(cfg.k)]
-    tasks = _tasks(cells, dataset.premise_capacity, trains)
-    work = [([cells[i] for i in members], keys) for members, keys in tasks]
+    tasks = _tasks(cells, dataset.premise_capacity)
+    work = [[cells[i] for i in members] for members in tasks]
     jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
     results = None
     if jobs > 1 and len(tasks) > 1:
         results = _pool_results(grid, work, min(jobs, len(tasks)))
     if results is None:
         results = [_run_task(*grid, task) for task in work]
-    rows = dict(zip((i for members, _ in tasks for i in members), chain(*results)))
+    rows = dict(zip(chain(*tasks), chain(*results)))
     return ExperimentReport(k=cfg.k, seed=cfg.seed, rows=tuple(rows[i] for i in range(len(cells))))
 
 

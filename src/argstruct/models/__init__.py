@@ -189,12 +189,3 @@ def fit_each(spec: ModelSpec, problems):
         return [fit(spec, X, y) for X, y in problems]
     return fit_gbt(spec, problems) if problems else []
 
-
-def predict_score(model, x):
-    """Hateful-class score in [0, 1] for one vector or a matrix of rows."""
-    return model.predict_score(x)
-
-
-def predict(model, x):
-    """Binary label: 1 iff predict_score >= 0.5 (ties go to hateful)."""
-    return model.predict(x)

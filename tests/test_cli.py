@@ -86,6 +86,27 @@ def test_encode_two_stage_with_scores(dataset_file, tmp_path, capsys):
     assert lines[0] == "stage1,concl,label"
 
 
+@pytest.mark.parametrize(
+    "first_score",
+    ["1.5", "NaN", '"high"', "{", None],
+    ids=["out-of-range", "nan", "not-a-number", "invalid-json", "not-an-object"],
+)
+def test_encode_bad_stage1_scores_is_data_error(dataset_file, tmp_path, capsys, first_score):
+    d = generate(GeneratorConfig(mode="table1", n_hateful=30, n_nonhateful=25, seed=0))
+    scores_path = tmp_path / "scores.json"
+    if first_score is None:
+        text = "0.5"
+    else:
+        rest = "".join(f', "{m.id}": 0.5' for m in d.messages[1:])
+        text = f'{{"{d.messages[0].id}": {first_score}{rest}}}'
+    scores_path.write_text(text, encoding="utf-8")
+    assert main([
+        "encode", "--dataset", str(dataset_file), "--encoding", "arg-str-c-given-p",
+        "--stage1-scores", str(scores_path),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def test_encode_capacity_overflow_and_truncate(dataset_file, capsys):
     assert main([
         "encode", "--dataset", str(dataset_file), "--encoding", "arg-str",

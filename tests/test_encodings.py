@@ -13,7 +13,6 @@ from argstruct.encodings import (
     cw_block,
     encode,
     encode_dataset,
-    encoding_length,
     feature_names,
     hs_block,
     stage_one_spec,
@@ -37,7 +36,7 @@ from messages import make_message, message_strategy
     ],
 )
 def test_encoding_lengths(family, capacity, expected):
-    assert encoding_length(EncodingSpec(family, capacity)) == expected
+    assert EncodingSpec(family, capacity).length == expected
 
 
 def test_spec_validation():
@@ -155,7 +154,7 @@ def test_stage_one_spec_mapping():
 def test_encode_length_matches_spec(m, family, L):
     spec = EncodingSpec(family, L)
     score = 0.5 if spec.two_stage else None
-    assert len(encode(m, spec, stage1_score=score)) == encoding_length(spec)
+    assert len(encode(m, spec, stage1_score=score)) == spec.length
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,7 +188,7 @@ def test_cw_slot_sums_match_occupancy(m):
 def test_feature_names_match_length():
     for family in FAMILIES:
         spec = EncodingSpec(family, 3)
-        assert len(feature_names(spec)) == encoding_length(spec)
+        assert len(feature_names(spec)) == spec.length
 
 
 def test_feature_names_layout():

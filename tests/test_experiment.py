@@ -1,4 +1,5 @@
 import json
+import weakref
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -197,10 +198,7 @@ def test_shared_fits_match_standalone_cells(
 def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset):
     cfg = ExperimentConfig(models=FAST_MODELS, k=3)
     cells = experiment._ordered_cells(cfg)
-    folds = stratified_kfold(tiny_dataset.labels(), 3, seed=0)
-    trains = [folds.train_indices(fold) for fold in range(3)]
-    tasks = experiment._tasks(cells, tiny_dataset.premise_capacity, trains)
-    tasks = [members for members, _ in tasks]
+    tasks = experiment._tasks(cells, tiny_dataset.premise_capacity)
     assert len(tasks) == 24
     assert sorted(i for task in tasks for i in task) == list(range(32))
     pairs = [[cells[i] for i in task] for task in tasks[:8]]
@@ -211,6 +209,36 @@ def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset)
             ("arg-str-p", "arg-str-c-given-p"), ("arg-str-p-cw", "arg-str-c-given-p-cw")
         )
     assert all(len(task) == 1 for task in tasks[8:])
+
+
+def test_shared_stage1_models_are_released_at_last_use(tiny_dataset, monkeypatch):
+    """The premise-only cell leaves its k fold models in the task's dict; its
+    two-stage cell takes them, and once it returns nothing holds them."""
+    k, held, refs = 3, [], []
+    run_cell = experiment.run_cell
+
+    def recording(dataset, enc, *args):
+        metrics = run_cell(dataset, enc, *args)
+        stage1 = args[-1]
+        released = all(ref() is None for ref in refs) if enc.two_stage else None
+        refs[:] = [weakref.ref(m) for fits in stage1.values() if fits for m in fits]
+        held.append((enc.family, sorted(stage1), len(refs), released))
+        return metrics
+
+    monkeypatch.setattr(experiment, "run_cell", recording)
+    cfg = ExperimentConfig(
+        encodings=("arg-str", "arg-str-p", "arg-str-c-given-p"),
+        models=(ModelSpec("lgr"), ModelSpec("gbt", tree_count=5)), k=k, jobs=1,
+    )
+    run_grid(tiny_dataset, cfg)
+    assert held == [
+        ("arg-str-p", ["arg-str-p"], k, None),
+        ("arg-str-c-given-p", [], 0, True),
+        ("arg-str-p", ["arg-str-p"], k, None),
+        ("arg-str-c-given-p", [], 0, True),
+        ("arg-str", [], 0, None),
+        ("arg-str", [], 0, None),
+    ]
 
 
 class _NoPool:

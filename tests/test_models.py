@@ -9,8 +9,6 @@ from argstruct.models import (
     ModelSpec,
     SingleClassError,
     fit,
-    predict,
-    predict_score,
 )
 from argstruct.models.boosting import GradientBoostedModel
 from argstruct.models.forest import RandomForestModel
@@ -68,14 +66,14 @@ def test_spec_validation(kwargs):
 
 def test_lgr_on_separable_pair():
     model = fit(ModelSpec("lgr"), [[0.0], [1.0]], [0, 1])
-    assert predict(model, [1.0]) == 1
-    assert predict(model, [0.0]) == 0
+    assert model.predict([1.0]) == 1
+    assert model.predict([0.0]) == 0
 
 
 def test_lgr_intercept_only_matches_class_rate():
     # constant design: the fitted score is the closed-form MLE, the class rate
     model = fit(ModelSpec("lgr"), [[1.0]] * 4, [1, 1, 1, 0])
-    assert predict_score(model, [1.0]) == pytest.approx(0.75, abs=1e-3)
+    assert model.predict_score([1.0]) == pytest.approx(0.75, abs=1e-3)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -88,11 +86,11 @@ def test_fit_is_bitwise_deterministic(family):
 
 def test_predict_threshold_and_ties():
     model = LinearModel(family="lgr", weights=np.zeros(2), bias=0.0)
-    assert predict_score(model, [5.0, -3.0]) == 0.5
-    assert predict(model, [5.0, -3.0]) == 1  # boundary maps to positive
+    assert model.predict_score([5.0, -3.0]) == 0.5
+    assert model.predict([5.0, -3.0]) == 1  # boundary maps to positive
     up = LinearModel(family="lgr", weights=np.array([1.0, 0.0]), bias=0.0)
-    assert predict(up, [2.0, 0.0]) == 1
-    assert predict(up, [-2.0, 0.0]) == 0
+    assert up.predict([2.0, 0.0]) == 1
+    assert up.predict([-2.0, 0.0]) == 0
 
 
 def _tree_model(family, n_features, **params):
@@ -105,13 +103,13 @@ def _tree_model(family, n_features, **params):
 def test_forest_unanimous_vote_scores_one():
     model = _tree_model("rforest", 3, trees=[{"v": 1.0}] * 5)
     assert isinstance(model, RandomForestModel)
-    assert predict_score(model, [0.0, 1.0, 0.0]) == 1.0
+    assert model.predict_score([0.0, 1.0, 0.0]) == 1.0
 
 
 def test_gbt_zero_trees_zero_base_scores_half():
     model = _tree_model("gbt", 2, base_score=0.0, shrinkage=0.1, trees=[])
     assert isinstance(model, GradientBoostedModel)
-    assert predict_score(model, [1.0, 0.0]) == 0.5
+    assert model.predict_score([1.0, 0.0]) == 0.5
 
 
 def test_fit_rejects_empty_and_tiny():
@@ -140,7 +138,7 @@ def test_predict_rejects_wrong_width():
     X, y = _random_binary_problem(0)
     model = fit(ModelSpec("lgr"), X, y)
     with pytest.raises(DimensionMismatchError):
-        predict_score(model, [1.0, 2.0])
+        model.predict_score([1.0, 2.0])
 
 
 @pytest.mark.parametrize("family", ("rforest", "gbt"))
@@ -149,8 +147,8 @@ def test_tree_models_ignore_appended_constant_column(family, seed):
     X, y = _random_binary_problem(seed)
     augmented = np.hstack([X, np.full((len(X), 1), 1.0)])
     spec = ModelSpec(family, tree_count=25)
-    base_scores = predict_score(fit(spec, X, y), X)
-    aug_scores = predict_score(fit(spec, augmented, y), augmented)
+    base_scores = fit(spec, X, y).predict_score(X)
+    aug_scores = fit(spec, augmented, y).predict_score(augmented)
     assert np.array_equal(base_scores, aug_scores)
 
 
@@ -162,8 +160,8 @@ def test_binary_fast_path_matches_generic_split_search(family, seed):
     X, y = _random_binary_problem(seed)
     augmented = np.hstack([X, np.full((len(X), 1), 2.0)])
     spec = ModelSpec(family, tree_count=25)
-    base_scores = predict_score(fit(spec, X, y), X)
-    aug_scores = predict_score(fit(spec, augmented, y), augmented)
+    base_scores = fit(spec, X, y).predict_score(X)
+    aug_scores = fit(spec, augmented, y).predict_score(augmented)
     assert np.array_equal(base_scores, aug_scores)
 
 
@@ -175,7 +173,7 @@ def test_linear_models_absorb_constant_columns(family):
     aug = fit(ModelSpec(family), augmented, y)
     assert aug.weights[-1] == 0.0
     assert np.array_equal(
-        predict_score(base, X), predict_score(aug, augmented)
+        base.predict_score(X), aug.predict_score(augmented)
     )
 
 
@@ -183,7 +181,7 @@ def test_lgr_score_monotone_in_margin():
     X, y = _random_binary_problem(7)
     model = fit(ModelSpec("lgr"), X, y)
     margins = X @ model.weights + model.bias
-    scores = predict_score(model, X)
+    scores = model.predict_score(X)
     order = np.argsort(margins)
     assert np.all(np.diff(scores[order]) >= 0)
 
@@ -193,13 +191,13 @@ def test_lgr_fits_separable_data_perfectly():
     X = (rng.random((60, 4)) < 0.5).astype(float)
     y = (X[:, 0] > 0.5).astype(float)
     model = fit(ModelSpec("lgr", max_iter=5000), X, y)
-    assert np.array_equal(predict(model, X), y.astype(int))
+    assert np.array_equal(model.predict(X), y.astype(int))
 
 
 def test_svm_log_loss_option_trains():
     X, y = _random_binary_problem(9)
     model = fit(ModelSpec("svm", loss="log"), X, y)
-    accuracy = (predict(model, X) == y).mean()
+    accuracy = (model.predict(X) == y).mean()
     assert accuracy > 0.6
 
 
@@ -207,7 +205,7 @@ def test_rforest_entropy_criterion_trains():
     X, y = _random_binary_problem(10)
     spec = ModelSpec("rforest", criterion="entropy", tree_count=20)
     model = fit(spec, X, y)
-    assert (predict(model, X) == y).mean() > 0.7
+    assert (model.predict(X) == y).mean() > 0.7
 
 
 @settings(max_examples=10, deadline=None)
@@ -216,7 +214,7 @@ def test_scores_stay_in_unit_interval(seed):
     X, y = _random_binary_problem(seed, n=40, d=4)
     for family in FAMILIES:
         spec = ModelSpec(family, tree_count=10)
-        scores = predict_score(fit(spec, X, y), X)
+        scores = fit(spec, X, y).predict_score(X)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
 
@@ -228,4 +226,4 @@ def test_persistence_round_trip(family, tmp_path):
     save_model(model, path)
     restored = load_model(path)
     assert model_to_dict(restored) == model_to_dict(model)
-    assert np.array_equal(predict_score(restored, X), predict_score(model, X))
+    assert np.array_equal(restored.predict_score(X), model.predict_score(X))

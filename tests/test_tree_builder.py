@@ -23,7 +23,6 @@ from argstruct.models import (
     NonFiniteInputError,
     fit,
     fit_each,
-    predict_score,
 )
 from argstruct.models.persist import model_to_dict
 from argstruct.models.tree import gini_gain, grow_trees
@@ -60,7 +59,7 @@ def _assert_matches_oracle(spec, X, y, expected):
     assert model_to_dict(model) == expected
     # training rows, and rows no tree has seen
     rows = np.vstack([X, 1.0 - X, X[::-1] * 0.5])
-    assert predict_score(model, rows).tobytes() == tree_oracle.scores(expected, rows).tobytes()
+    assert model.predict_score(rows).tobytes() == tree_oracle.scores(expected, rows).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,11 +151,11 @@ def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed)
     for model, (X, y) in zip(models, batch):
         alone = fit(spec, X, y)
         assert model_to_dict(model) == model_to_dict(alone)
-        assert predict_score(model, rows).tobytes() == predict_score(alone, rows).tobytes()
+        assert model.predict_score(rows).tobytes() == alone.predict_score(rows).tobytes()
         if family == "gbt":
             expected = tree_oracle.gbt_dict(spec, X, y)
             assert model_to_dict(model) == expected
-            assert predict_score(model, rows).tobytes() == tree_oracle.scores(expected, rows).tobytes()
+            assert model.predict_score(rows).tobytes() == tree_oracle.scores(expected, rows).tobytes()
 
 
 @pytest.mark.parametrize("family", MODEL_FAMILIES)
