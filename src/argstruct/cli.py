@@ -1,9 +1,9 @@
 """Command-line interface: validate, stats, encode, synth, run.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error, 3 runtime
-error. Diagnostics go to stderr; results go to stdout or the --out file.
-The ARGSTRUCT_DATA_DIR environment variable supplies a fallback directory for
-relative dataset paths.
+Exit codes: 0 success, 1 usage error, 2 data or validation error (any
+``data.DataError``), 3 runtime error. Diagnostics go to stderr; results go to
+stdout or the --out file. The ARGSTRUCT_DATA_DIR environment variable
+supplies a fallback directory for relative dataset paths.
 """
 
 import argparse
@@ -16,10 +16,10 @@ import warnings
 from pathlib import Path
 
 from .data import (
+    DataError,
     EmptyDatasetError,
     MalformedRecordError,
     PartialAnnotationWarning,
-    ValidationError,
     dataset_stats,
     dataset_to_jsonl,
     load_dataset,
@@ -28,19 +28,9 @@ from .data import (
 from .encodings import (
     FAMILIES,
     EncodingSpec,
-    MissingStageOneScoreError,
-    PremiseOverflowError,
     StageOneScoreError,
-    UnexpectedStageOneScoreError,
     encode_dataset,
     feature_names,
-)
-from .evaluation import (
-    ClassTooSmallError,
-    EmptyMatrixError,
-    KTooSmallError,
-    LengthMismatchError,
-    TooFewFoldsError,
 )
 from .experiment import (
     MODEL_ORDER,
@@ -49,39 +39,38 @@ from .experiment import (
     emit_report,
     run_grid,
 )
-from .models import (
-    DimensionMismatchError,
-    EmptyTrainingSetError,
-    ModelSpec,
-    NonFiniteInputError,
-    SingleClassError,
-)
+from .models import ModelSpec
 from .synth import MODES, GeneratorConfig, InvalidConfigError, generate
 
 DATA_DIR_ENV = "ARGSTRUCT_DATA_DIR"
 
-_MODEL_ALIASES = {**{family: family for family in MODEL_ORDER}, "xgb": "gbt"}
+# The names each list option of run accepts, mapped to what they select
+# (xgb is an alias for gbt).
+_NAMES = {
+    "encodings": {family: family for family in FAMILIES},
+    "models": {**{family: family for family in MODEL_ORDER}, "xgb": "gbt"},
+}
 
-_DATA_ERRORS = (
-    ValidationError,
-    MalformedRecordError,
-    EmptyDatasetError,
-    PremiseOverflowError,
-    MissingStageOneScoreError,
-    UnexpectedStageOneScoreError,
-    StageOneScoreError,
-    ClassTooSmallError,
-    KTooSmallError,
-    LengthMismatchError,
-    EmptyMatrixError,
-    TooFewFoldsError,
-    SingleClassError,
-    EmptyTrainingSetError,
-    DimensionMismatchError,
-    NonFiniteInputError,
-    FileNotFoundError,
-    IsADirectoryError,
+# run's hyperparameter flags: (flag, family, ModelSpec field, type, choices).
+# Each default is the family's ModelSpec value; family None means every family.
+_HYPER = (
+    ("--max-iter", None, "max_iter", int, None),
+    ("--model-seed", None, "seed", int, None),
+    ("--lgr-learning-rate", "lgr", "learning_rate", float, None),
+    ("--lgr-l2", "lgr", "regularization", float, None),
+    ("--svm-learning-rate", "svm", "learning_rate", float, None),
+    ("--svm-l2", "svm", "regularization", float, None),
+    ("--svm-loss", "svm", "loss", str, ("hinge", "log")),
+    ("--rf-trees", "rforest", "tree_count", int, None),
+    ("--rf-max-depth", "rforest", "max_depth", int, None),
+    ("--rf-criterion", "rforest", "criterion", str, ("gini", "entropy")),
+    ("--gbt-rounds", "gbt", "tree_count", int, None),
+    ("--gbt-max-depth", "gbt", "max_depth", int, None),
+    ("--gbt-shrinkage", "gbt", "learning_rate", float, None),
+    ("--gbt-subsample", "gbt", "subsample", float, None),
 )
+
+_DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError)
 
 
 class UsageError(Exception):
@@ -122,6 +111,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argstruct parser and its subcommand parsers by name."""
     parser = _Parser(
         prog="argstruct",
         description=(
@@ -130,7 +120,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    subparsers: dict[str, _Parser] = {}
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -139,7 +128,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument("--dataset", required=True, help="line-delimited JSON dataset")
     p.set_defaults(func=cmd_validate)
-    subparsers["validate"] = p
 
     p = subs.add_parser(
         "stats", help="corpus statistics and contingency table", formatter_class=fmt
@@ -151,7 +139,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_stats)
-    subparsers["stats"] = p
 
     p = subs.add_parser(
         "encode", help="emit feature vectors as CSV", formatter_class=fmt
@@ -163,8 +150,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument(
         "--capacity",
         type=int,
-        default=None,
-        help="premise slot capacity L (default: the dataset's maximum)",
+        help="premise slot capacity L; unset means the dataset's maximum",
     )
     p.add_argument(
         "--truncate",
@@ -173,12 +159,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument(
         "--stage1-scores",
-        default=None,
         help="JSON file of {message id: score} for the two-stage encodings",
     )
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_encode)
-    subparsers["encode"] = p
 
     p = subs.add_parser(
         "synth", help="generate a synthetic dataset", formatter_class=fmt
@@ -213,7 +197,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument("--out", help="write the dataset here instead of stdout")
     p.set_defaults(func=cmd_synth)
-    subparsers["synth"] = p
 
     p = subs.add_parser(
         "run", help="cross-validated encoding x model grid", formatter_class=fmt
@@ -223,20 +206,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument(
         "--config",
-        default=None,
-        help="JSON file of flag defaults (explicit flags win)",
+        help="JSON object of run flag values, checked like flags (explicit flags win)",
     )
-    p.add_argument(
-        "--encodings",
-        default="all",
-        help="comma-separated encoding families, or 'all'",
-    )
-    p.add_argument(
-        "--models",
-        default="all",
-        help="comma-separated model families (lgr,svm,rforest,gbt; xgb is an "
-        "alias for gbt), or 'all'",
-    )
+    for option, names in _NAMES.items():
+        p.add_argument(
+            f"--{option}", default="all",
+            help=f"comma-separated {option} from {', '.join(names)}, or 'all'",
+        )
     p.add_argument("--k", type=int, default=5, help="number of folds")
     p.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
     p.add_argument(
@@ -246,8 +222,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="parallel cell workers (default: available parallelism)",
+        help="parallel task workers; unset means available parallelism",
     )
     p.add_argument(
         "--inner-cv",
@@ -264,36 +239,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         action="store_true",
         help="report sample (n-1) instead of population standard deviation",
     )
-    p.add_argument(
-        "--max-iter", type=int, default=1000, help="linear-model iteration cap"
-    )
-    p.add_argument("--model-seed", type=int, default=0, help="model RNG seed")
-    hyper = [
-        ("--lgr-learning-rate", float, "lgr step size (default: 0.1)"),
-        ("--lgr-l2", float, "lgr L2 strength (default: 0)"),
-        ("--svm-learning-rate", float, "svm step size (default: 0.1)"),
-        ("--svm-l2", float, "svm L2 strength (default: 1e-3)"),
-        ("--rf-trees", int, "forest size (default: 100)"),
-        ("--rf-max-depth", int, "forest tree depth (default: 8)"),
-        ("--gbt-rounds", int, "boosting rounds (default: 100)"),
-        ("--gbt-max-depth", int, "boosting tree depth (default: 3)"),
-        ("--gbt-shrinkage", float, "boosting shrinkage (default: 0.1)"),
-        ("--gbt-subsample", float, "boosting row subsample (default: 1.0)"),
-    ]
-    for flag, kind, text in hyper:
-        p.add_argument(flag, type=kind, default=None, help=text)
-    p.add_argument(
-        "--svm-loss", choices=("hinge", "log"), default=None,
-        help="svm objective (default: hinge)",
-    )
-    p.add_argument(
-        "--rf-criterion", choices=("gini", "entropy"), default=None,
-        help="forest split impurity (default: gini)",
-    )
+    for flag, family, field, kind, choices in _HYPER:
+        p.add_argument(
+            flag, type=kind, choices=choices,
+            default=getattr(ModelSpec(family) if family else ModelSpec, field),
+            help=f"{field} of {family or 'every family'}",
+        )
     p.set_defaults(func=cmd_run)
-    subparsers["run"] = p
 
-    return parser, subparsers
+    return parser, subs.choices
 
 
 def cmd_validate(args) -> int:
@@ -337,7 +291,10 @@ def cmd_stats(args) -> int:
 def cmd_encode(args) -> int:
     d = load_dataset(_resolve_dataset(args.dataset))
     capacity = args.capacity if args.capacity is not None else d.premise_capacity
-    spec = EncodingSpec(args.encoding, capacity)
+    try:
+        spec = EncodingSpec(args.encoding, capacity)
+    except ValueError as exc:  # capacity < 1
+        raise UsageError(str(exc)) from exc
     scores = None
     if spec.two_stage:
         if not args.stage1_scores:
@@ -373,83 +330,53 @@ def cmd_encode(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = GeneratorConfig(
-        mode=args.mode,
-        n_hateful=args.n_hate,
-        n_nonhateful=args.n_nohate,
-        seed=args.seed,
-        max_premises=args.max_premises,
-        hateful_premise_mean=args.premise_mean_hate,
-        hateful_premise_std=args.premise_std_hate,
-        nonhateful_premise_mean=args.premise_mean_nohate,
-        nonhateful_premise_std=args.premise_std_nohate,
-        ensure_hateful_component=args.ensure_hateful_component,
-    )
+    try:
+        cfg = GeneratorConfig(
+            mode=args.mode,
+            n_hateful=args.n_hate,
+            n_nonhateful=args.n_nohate,
+            seed=args.seed,
+            max_premises=args.max_premises,
+            hateful_premise_mean=args.premise_mean_hate,
+            hateful_premise_std=args.premise_std_hate,
+            nonhateful_premise_mean=args.premise_mean_nohate,
+            nonhateful_premise_std=args.premise_std_nohate,
+            ensure_hateful_component=args.ensure_hateful_component,
+        )
+    except InvalidConfigError as exc:
+        raise UsageError(str(exc)) from exc
     _write_output(dataset_to_jsonl(generate(cfg)), args.out)
     return 0
 
 
-def _parse_encodings(text: str) -> tuple[str, ...]:
+def _parse_names(args, option: str) -> tuple[str, ...]:
+    """What a comma-separated list option (or 'all') selects, in order."""
+    names = _NAMES[option]
+    text = getattr(args, option)
     if text.strip() == "all":
-        return FAMILIES
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [n for n in names if n not in FAMILIES]
+        return tuple(dict.fromkeys(names.values()))
+    chosen = [part.strip() for part in text.split(",") if part.strip()]
+    unknown = [n for n in chosen if n not in names]
     if unknown:
-        raise UsageError(f"unknown encodings {unknown}; valid: {list(FAMILIES)}")
-    if not names:
-        raise UsageError("empty --encodings")
-    return names
+        raise UsageError(f"unknown {option} {unknown}; valid: {list(names)}")
+    if not chosen:
+        raise UsageError(f"empty --{option}")
+    return tuple(names[n] for n in chosen)
 
 
-def _parse_models(text: str, args) -> tuple[ModelSpec, ...]:
-    if text.strip() == "all":
-        families = MODEL_ORDER
-    else:
-        names = [part.strip() for part in text.split(",") if part.strip()]
-        if not names:
-            raise UsageError("empty --models")
-        unknown = [n for n in names if n not in _MODEL_ALIASES]
-        if unknown:
-            raise UsageError(
-                f"unknown models {unknown}; valid: {sorted(_MODEL_ALIASES)}"
-            )
-        families = [_MODEL_ALIASES[n] for n in names]
-    per_family = {
-        "lgr": dict(
-            learning_rate=args.lgr_learning_rate, regularization=args.lgr_l2
-        ),
-        "svm": dict(
-            learning_rate=args.svm_learning_rate,
-            regularization=args.svm_l2,
-            loss=args.svm_loss,
-        ),
-        "rforest": dict(
-            tree_count=args.rf_trees,
-            max_depth=args.rf_max_depth,
-            criterion=args.rf_criterion,
-        ),
-        "gbt": dict(
-            tree_count=args.gbt_rounds,
-            max_depth=args.gbt_max_depth,
-            learning_rate=args.gbt_shrinkage,
-            subsample=args.gbt_subsample if args.gbt_subsample is not None else 1.0,
-        ),
-    }
-    specs = []
-    seen = set()
-    for family in families:
-        if family in seen:
-            continue
-        seen.add(family)
-        specs.append(
-            ModelSpec(
-                family=family,
-                max_iter=args.max_iter,
-                seed=args.model_seed,
-                **per_family[family],
-            )
+def _model_specs(args) -> tuple[ModelSpec, ...]:
+    """One ModelSpec per selected family, from the _HYPER flags that apply to it."""
+    return tuple(
+        ModelSpec(
+            family,
+            **{
+                field: getattr(args, flag[2:].replace("-", "_"))
+                for flag, owner, field, _, _ in _HYPER
+                if owner in (None, family)
+            },
         )
-    return tuple(specs)
+        for family in dict.fromkeys(_parse_names(args, "models"))
+    )
 
 
 def cmd_run(args) -> int:
@@ -457,8 +384,8 @@ def cmd_run(args) -> int:
         raise UsageError("run needs --dataset (on the command line or in --config)")
     try:
         cfg = ExperimentConfig(
-            encodings=_parse_encodings(args.encodings),
-            models=_parse_models(args.models, args),
+            encodings=_parse_names(args, "encodings"),
+            models=_model_specs(args),
             k=args.k,
             seed=args.seed,
             inner_cv=args.inner_cv,
@@ -474,23 +401,35 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _apply_config_file(argv, args, parser, subparsers) -> argparse.Namespace | None:
-    config_path = getattr(args, "config", None)
-    if not config_path:
-        return None
+def _config_argv(argv, args, subparser) -> list[str]:
+    """argv with the --config file's values as flags ahead of the explicit ones.
+
+    Parsing that again checks config values exactly like flags, and an
+    explicit flag, coming later, wins. On/off flags take true/false.
+    """
     try:
-        values = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {config_path}: {exc}") from exc
+        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
-    sub = subparsers[args.command]
-    valid = {a.dest for a in sub._actions}
-    unknown = [k for k in values if k not in valid]
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = [k for k in values if k not in actions]
     if unknown:
         raise UsageError(f"unknown config keys {unknown}")
-    sub.set_defaults(**values)
-    return parser.parse_args(argv)
+    tokens = []
+    for key, value in values.items():
+        switch = actions[key].nargs == 0
+        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            wanted = "true or false" if switch else "a string or a number"
+            raise UsageError(f"config key {key!r} takes {wanted}, not {value!r}")
+        flag = actions[key].option_strings[0]
+        if not switch:
+            tokens.append(f"{flag}={value}")
+        elif value:
+            tokens.append(flag)
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
@@ -498,12 +437,8 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        reparsed = _apply_config_file(argv, args, parser, subparsers)
-        if reparsed is not None:
-            args = reparsed
+        if getattr(args, "config", None):
+            args = parser.parse_args(_config_argv(argv, args, subparsers[args.command]))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -53,7 +53,11 @@ class MessageLabel(str, Enum):
     NON_HATEFUL = "nohate"
 
 
-class ValidationError(Exception):
+class DataError(Exception):
+    """Input data the toolkit cannot use; the CLI reports it as a data error (exit 2)."""
+
+
+class ValidationError(DataError):
     """A message violates a structural invariant.
 
     ``code`` identifies the invariant: NO_PREMISE, NO_CONCLUSION,
@@ -66,7 +70,7 @@ class ValidationError(Exception):
         super().__init__(f"{code} in message {message_id!r}" + (f": {detail}" if detail else ""))
 
 
-class MalformedRecordError(Exception):
+class MalformedRecordError(DataError):
     """A dataset line could not be decoded into a message."""
 
     def __init__(self, line_no: int, reason: str):
@@ -75,7 +79,7 @@ class MalformedRecordError(Exception):
         super().__init__(f"line {line_no}: {reason}")
 
 
-class EmptyDatasetError(Exception):
+class EmptyDatasetError(DataError):
     """No valid messages; carries any per-record issues seen while parsing."""
 
     def __init__(self, message: str, skipped: tuple = ()):
@@ -235,15 +239,14 @@ class ParseResult:
     skipped: tuple[RecordIssue, ...]
 
 
-def _iter_lines(source) -> Iterator[str]:
+def _iter_lines(source) -> Iterator[str | bytes]:
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             yield from fh
     elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
+        yield from io.BytesIO(source)
     elif isinstance(source, Iterable):
-        for line in source:
-            yield line.decode("utf-8") if isinstance(line, bytes) else line
+        yield from source
     else:
         raise TypeError(f"unsupported dataset source: {type(source)!r}")
 
@@ -253,15 +256,20 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
 
     ``source`` may be a path, bytes, or an iterable of lines. In strict mode
     the first malformed or invalid record raises; in lenient mode such records
-    are skipped and reported in ``ParseResult.skipped``. Blank lines are
-    ignored. Raises EmptyDatasetError when no valid message remains.
+    are skipped and reported in ``ParseResult.skipped``; a line that is not
+    UTF-8 is malformed. Blank lines are ignored. Raises EmptyDatasetError
+    when no valid message remains.
     """
     messages: list[Message] = []
     skipped: list[RecordIssue] = []
     for line_no, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
         try:
+            try:
+                line = line.decode("utf-8") if isinstance(line, bytes) else line
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(line_no, f"invalid UTF-8: {exc.reason}") from exc
+            if not line.strip():
+                continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:

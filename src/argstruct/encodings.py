@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CW_ORDER, ComponentHate, Dataset, Message
+from .data import CW_ORDER, ComponentHate, DataError, Dataset, Message
 
 
 class _Layout(NamedTuple):
@@ -52,7 +52,7 @@ _STAGE_ONE: dict[str, str] = {
 }
 
 
-class PremiseOverflowError(Exception):
+class PremiseOverflowError(DataError):
     def __init__(self, message_id: str, count: int, capacity: int):
         self.message_id = message_id
         super().__init__(
@@ -60,15 +60,15 @@ class PremiseOverflowError(Exception):
         )
 
 
-class MissingStageOneScoreError(Exception):
+class MissingStageOneScoreError(DataError):
     pass
 
 
-class UnexpectedStageOneScoreError(Exception):
+class UnexpectedStageOneScoreError(DataError):
     pass
 
 
-class StageOneScoreError(ValueError):
+class StageOneScoreError(DataError, ValueError):
     """A stage-1 score that is not a number in [0, 1]."""
 
 

@@ -6,24 +6,26 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import DataError
 
-class KTooSmallError(Exception):
+
+class KTooSmallError(DataError):
     pass
 
 
-class ClassTooSmallError(Exception):
+class ClassTooSmallError(DataError):
     pass
 
 
-class LengthMismatchError(Exception):
+class LengthMismatchError(DataError):
     pass
 
 
-class EmptyMatrixError(Exception):
+class EmptyMatrixError(DataError):
     pass
 
 
-class TooFewFoldsError(Exception):
+class TooFewFoldsError(DataError):
     pass
 
 

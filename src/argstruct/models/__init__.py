@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data import DataError
+
 MODEL_FAMILIES = ("lgr", "svm", "rforest", "gbt")
 
 _FAMILY_DEFAULTS = {
@@ -20,19 +22,19 @@ _FAMILY_DEFAULTS = {
 }
 
 
-class EmptyTrainingSetError(Exception):
+class EmptyTrainingSetError(DataError):
     pass
 
 
-class SingleClassError(Exception):
+class SingleClassError(DataError):
     pass
 
 
-class DimensionMismatchError(Exception):
+class DimensionMismatchError(DataError):
     pass
 
 
-class NonFiniteInputError(Exception):
+class NonFiniteInputError(DataError):
     pass
 
 

@@ -2,8 +2,33 @@ import json
 
 import pytest
 
+from argstruct import cli
 from argstruct.cli import main
-from argstruct.data import dataset_to_jsonl
+from argstruct.data import (
+    EmptyDatasetError,
+    MalformedRecordError,
+    ValidationError,
+    dataset_to_jsonl,
+)
+from argstruct.encodings import (
+    MissingStageOneScoreError,
+    PremiseOverflowError,
+    StageOneScoreError,
+    UnexpectedStageOneScoreError,
+)
+from argstruct.evaluation import (
+    ClassTooSmallError,
+    EmptyMatrixError,
+    KTooSmallError,
+    LengthMismatchError,
+    TooFewFoldsError,
+)
+from argstruct.models import (
+    DimensionMismatchError,
+    EmptyTrainingSetError,
+    NonFiniteInputError,
+    SingleClassError,
+)
 from argstruct.synth import GeneratorConfig, generate
 
 
@@ -270,3 +295,108 @@ def test_validate_surfaces_partial_annotation_warning(tmp_path, capsys):
     path.write_text(record + "\n", encoding="utf-8")
     assert main(["validate", "--dataset", str(path)]) == 0
     assert "unannotated" in capsys.readouterr().err
+
+
+_RUN = ["run", "--dataset", "{data}"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, prefix",
+    [
+        pytest.param(_RUN, {"k": 2.5}, 1, "argstruct run: error:", id="config-k-float"),
+        pytest.param(
+            _RUN, {"encodings": ["arg-str"]}, 1, "usage error:", id="config-encodings-list"
+        ),
+        pytest.param(_RUN, {"models": 5}, 1, "usage error:", id="config-models-number"),
+        pytest.param(_RUN, {"format": "xml"}, 1, "argstruct run: error:", id="config-format"),
+        pytest.param(_RUN, {"inner_cv": "no"}, 1, "usage error:", id="config-switch-string"),
+        pytest.param(["synth", "--n-hate", "0"], None, 1, "usage error:", id="synth-n-hate"),
+        pytest.param(
+            ["synth", "--premise-std-hate", "-1"], None, 1, "usage error:", id="synth-std"
+        ),
+        pytest.param(
+            ["synth", "--max-premises", "0"], None, 1, "usage error:", id="synth-max-premises"
+        ),
+        pytest.param(
+            ["encode", "--dataset", "{data}", "--encoding", "arg-str", "--capacity", "0"],
+            None, 1, "usage error:", id="encode-capacity-0",
+        ),
+        pytest.param(
+            ["validate", "--dataset", "{not_utf8}"], None, 2, "invalid record at line 1:",
+            id="validate-not-utf8",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{not_utf8}"], None, 2, "data error: line 1:",
+            id="stats-not-utf8",
+        ),
+    ],
+)
+def test_bad_input_exits_with_documented_code(
+    dataset_file, tmp_path, capsys, argv, config, code, prefix
+):
+    not_utf8 = tmp_path / "not_utf8.jsonl"
+    not_utf8.write_bytes(b"\xff\xfe" + dataset_file.read_bytes())
+    argv = [a.format(data=dataset_file, not_utf8=not_utf8) for a in argv]
+    if config is not None:
+        path = tmp_path / "run.json"
+        small = {"encodings": "arg-str", "models": "lgr", "k": 2, "jobs": 1}
+        path.write_text(json.dumps({**small, **config}))
+        argv += ["--config", str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert any(line.startswith(prefix) for line in err.splitlines()), err
+    assert "runtime error:" not in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValidationError("NO_PREMISE", "m1"),
+        MalformedRecordError(1, "bad"),
+        EmptyDatasetError("none"),
+        PremiseOverflowError("m1", 7, 6),
+        MissingStageOneScoreError("missing"),
+        UnexpectedStageOneScoreError("unexpected"),
+        StageOneScoreError("out of range"),
+        ClassTooSmallError("small"),
+        KTooSmallError("k"),
+        LengthMismatchError("length"),
+        EmptyMatrixError("empty"),
+        TooFewFoldsError("folds"),
+        SingleClassError("one class"),
+        EmptyTrainingSetError("no rows"),
+        DimensionMismatchError("width"),
+        NonFiniteInputError("nan"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_every_data_error_exits_2(dataset_file, monkeypatch, capsys, error):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_dataset", fail)
+    assert main(["stats", "--dataset", str(dataset_file)]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_config_values_match_the_same_flags(dataset_file, tmp_path, capsys):
+    values = {
+        "lgr_learning_rate": 0.05, "lgr_l2": 0.01, "svm_learning_rate": 0.2,
+        "svm_l2": 0.01, "svm_loss": "log", "rf_trees": 20, "rf_max_depth": 4,
+        "rf_criterion": "entropy", "gbt_rounds": 20, "gbt_max_depth": 2,
+        "gbt_shrinkage": 0.2, "gbt_subsample": 0.6, "max_iter": 300, "model_seed": 4,
+    }
+    base = [
+        "run", "--dataset", str(dataset_file), "--encodings",
+        "arg-str,arg-str-c-given-p-cw,arg-str-cw-hs", "--k", "2", "--jobs", "1",
+        "--format", "json",
+    ]
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    assert main(base + flags) == 0
+    by_flags = capsys.readouterr().out
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    assert main(base + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == by_flags
+    assert main(base) == 0
+    assert capsys.readouterr().out != by_flags  # the values took effect
