@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Large-sample check that the table1 generator reproduces its target
-label distribution: per-cell z-scores and premise-count moments."""
+label distribution: per-cell z-scores and premise-count moments.
+
+Exits 1 when the worst per-cell |z| exceeds 3."""
 
 import argparse
 
@@ -11,6 +13,8 @@ from argstruct.synth import (
     GeneratorConfig,
     HATEFUL_CONCLUSION_WEIGHTS,
     HATEFUL_PREMISE_WEIGHTS,
+    HATEFUL_PREMISES_MEAN_STD,
+    NON_HATEFUL_PREMISES_MEAN_STD,
     NON_HATEFUL_CONCLUSION_CW_WEIGHTS,
     NON_HATEFUL_PREMISE_CW_WEIGHTS,
     generate,
@@ -35,7 +39,10 @@ def label(key):
     return key.value
 
 
-def main() -> None:
+Z_BOUND = 3.0
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-hate", type=int, default=6250)
     parser.add_argument("--n-nohate", type=int, default=3750)
@@ -80,11 +87,16 @@ def main() -> None:
         for key, p_hat, p, z in z_scores(bucket, weights, total):
             worst = max(worst, abs(z))
             print(f"  {label(key):12s} observed {p_hat:.4f} target {p:.4f} z={z:+.2f}")
-    for lbl, target in ((MessageLabel.HATEFUL, 1.789), (MessageLabel.NON_HATEFUL, 2.654)):
+    targets = (
+        (MessageLabel.HATEFUL, HATEFUL_PREMISES_MEAN_STD[0]),
+        (MessageLabel.NON_HATEFUL, NON_HATEFUL_PREMISES_MEAN_STD[0]),
+    )
+    for lbl, target in targets:
         mean = float(np.mean(premise_counts[lbl]))
         print(f"\n{lbl.value} premise-count mean {mean:.3f} (target {target})")
-    print(f"\nworst |z| = {worst:.2f} (3.0 is the acceptance bound)")
+    print(f"\nworst |z| = {worst:.2f} ({Z_BOUND} is the acceptance bound)")
+    return 1 if worst > Z_BOUND else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -10,12 +10,12 @@ import argparse
 import time
 
 from argstruct.experiment import ExperimentConfig, emit_report, run_grid
-from argstruct.synth import GeneratorConfig, generate
+from argstruct.synth import MODES, GeneratorConfig, generate
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", default="table1", choices=("table1", "separable"))
+    parser.add_argument("--mode", default="table1", choices=MODES)
     parser.add_argument("--n-hate", type=int, default=227)
     parser.add_argument("--n-nohate", type=int, default=136)
     parser.add_argument("--seed", type=int, default=0)

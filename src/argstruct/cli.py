@@ -18,7 +18,6 @@ from pathlib import Path
 from .data import (
     DataError,
     EmptyDatasetError,
-    MalformedRecordError,
     PartialAnnotationWarning,
     dataset_stats,
     dataset_to_jsonl,
@@ -70,6 +69,17 @@ _HYPER = (
     ("--gbt-subsample", "gbt", "subsample", float, None),
 )
 
+# synth's generator flags: (flag, GeneratorConfig field, type); each default
+# is the GeneratorConfig default.
+_GENERATOR = (
+    ("--seed", "seed", int),
+    ("--max-premises", "max_premises", int),
+    ("--premise-mean-hate", "hateful_premise_mean", float),
+    ("--premise-std-hate", "hateful_premise_std", float),
+    ("--premise-mean-nohate", "nonhateful_premise_mean", float),
+    ("--premise-std-nohate", "nonhateful_premise_std", float),
+)
+
 _DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError)
 
 
@@ -81,11 +91,24 @@ class OutputError(Exception):
     """Failed to write results; maps to the runtime-error exit code."""
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, unless the flag has none."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _resolve_dataset(path_str: str) -> Path:
@@ -121,7 +144,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = subs.add_parser(
         "validate", help="check every record of a dataset file", formatter_class=fmt
@@ -170,30 +193,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--mode", choices=MODES, default="table1", help="generator mode")
     p.add_argument("--n-hate", type=int, default=227, help="hateful messages")
     p.add_argument("--n-nohate", type=int, default=136, help="non-hateful messages")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument(
-        "--max-premises", type=int, default=6, help="premise-count clamp bound"
-    )
+    for flag, field, kind in _GENERATOR:
+        p.add_argument(
+            flag, type=kind, default=getattr(GeneratorConfig, field),
+            help=f"generator {field.replace('_', ' ')}",
+        )
     p.add_argument(
         "--ensure-hateful-component",
         action="store_true",
         help="force at least one hateful component into every hateful message",
-    )
-    p.add_argument(
-        "--premise-mean-hate", type=float, default=1.789,
-        help="premise-count mean, hateful class",
-    )
-    p.add_argument(
-        "--premise-std-hate", type=float, default=0.644,
-        help="premise-count std, hateful class",
-    )
-    p.add_argument(
-        "--premise-mean-nohate", type=float, default=2.654,
-        help="premise-count mean, non-hateful class",
-    )
-    p.add_argument(
-        "--premise-std-nohate", type=float, default=1.157,
-        help="premise-count std, non-hateful class",
     )
     p.add_argument("--out", help="write the dataset here instead of stdout")
     p.set_defaults(func=cmd_synth)
@@ -311,7 +319,9 @@ def cmd_encode(args) -> int:
             raise StageOneScoreError(f"{args.stage1_scores} must hold a JSON object")
         missing = [m.id for m in d if m.id not in by_id]
         if missing:
-            raise MalformedRecordError(0, f"no stage-1 score for ids {missing[:5]}")
+            raise StageOneScoreError(
+                f"{args.stage1_scores} has no stage-1 score for ids {missing[:5]}"
+            )
         try:
             scores = [float(by_id[m.id]) for m in d]
         except (TypeError, ValueError) as exc:
@@ -335,13 +345,8 @@ def cmd_synth(args) -> int:
             mode=args.mode,
             n_hateful=args.n_hate,
             n_nonhateful=args.n_nohate,
-            seed=args.seed,
-            max_premises=args.max_premises,
-            hateful_premise_mean=args.premise_mean_hate,
-            hateful_premise_std=args.premise_std_hate,
-            nonhateful_premise_mean=args.premise_mean_nohate,
-            nonhateful_premise_std=args.premise_std_nohate,
             ensure_hateful_component=args.ensure_hateful_component,
+            **{field: getattr(args, _dest(flag)) for flag, field, _ in _GENERATOR},
         )
     except InvalidConfigError as exc:
         raise UsageError(str(exc)) from exc
@@ -370,7 +375,7 @@ def _model_specs(args) -> tuple[ModelSpec, ...]:
         ModelSpec(
             family,
             **{
-                field: getattr(args, flag[2:].replace("-", "_"))
+                field: getattr(args, _dest(flag))
                 for flag, owner, field, _, _ in _HYPER
                 if owner in (None, family)
             },

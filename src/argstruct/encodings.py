@@ -1,11 +1,18 @@
 """Fixed-length feature encodings of annotated messages.
 
-Eight families. Layout is always: structure block, then checkworthiness
-block (if any), then hatefulness block (if any). Within a block, slots run
-premise-0 .. premise-(L-1), then the conclusion slot where the family
-includes it. The two-stage (c-given-p) families instead produce
-[stage-1 score, conclusion-present] plus, for the -cw variant, the
-conclusion's checkworthiness one-hot.
+One slot table lays out all eight families. With premise capacity L, slots
+0..L-1 hold the premises, filled left to right, and slot L holds the
+conclusion. A family's encoded slots are the premise slots (none for the
+two-stage c-given-p families) plus the conclusion slot when the family has
+one. Its columns, in order, are:
+
+* the stage-1 score (two-stage families only);
+* one presence bit per encoded slot;
+* one (NFS, UFS, CFS) one-hot per encoded slot (cw families);
+* one hatefulness bit for each of the L+1 slots (hs families).
+
+An empty slot's columns are all 0, and so is the hate bit of a non-hateful or
+unannotated component.
 """
 
 from dataclasses import dataclass
@@ -34,22 +41,15 @@ _LAYOUTS: dict[str, _Layout] = {
     "arg-str-cw-hs": _Layout(True, True, True, False),
 }
 
-FAMILIES: tuple[str, ...] = (
-    "arg-str",
-    "arg-str-p",
-    "arg-str-c-given-p",
-    "arg-str-cw",
-    "arg-str-p-cw",
-    "arg-str-c-given-p-cw",
-    "arg-str-hs",
-    "arg-str-cw-hs",
-)
+FAMILIES: tuple[str, ...] = tuple(_LAYOUTS)
 
 # stage-1 of a two-stage family trains on the premise-only counterpart
 _STAGE_ONE: dict[str, str] = {
     "arg-str-c-given-p": "arg-str-p",
     "arg-str-c-given-p-cw": "arg-str-p-cw",
 }
+
+_CW_INDEX = {cw: i for i, cw in enumerate(CW_ORDER)}
 
 
 class PremiseOverflowError(DataError):
@@ -94,12 +94,15 @@ class EncodingSpec:
         return self.layout.two_stage
 
     @property
-    def length(self) -> int:
+    def slots(self) -> list[int]:
+        """The encoded slots, in column order; slot L is the conclusion."""
         lay, L = self.layout, self.capacity
-        if lay.two_stage:
-            return 2 + (3 if lay.cw else 0)
-        slots = L + (1 if lay.conclusion else 0)
-        return slots * (4 if lay.cw else 1) + ((L + 1) if lay.hs else 0)
+        return list(range(0 if lay.two_stage else L)) + ([L] if lay.conclusion else [])
+
+    @property
+    def length(self) -> int:
+        lay = self.layout
+        return lay.two_stage + len(self.slots) * (1 + 3 * lay.cw) + lay.hs * (self.capacity + 1)
 
 
 def stage_one_spec(spec: EncodingSpec) -> EncodingSpec:
@@ -109,107 +112,16 @@ def stage_one_spec(spec: EncodingSpec) -> EncodingSpec:
     return EncodingSpec(_STAGE_ONE[spec.family], spec.capacity)
 
 
-def _checked_premises(m: Message, L: int, truncate: bool):
-    premises = m.premises
-    if len(premises) > L:
-        if not truncate:
-            raise PremiseOverflowError(m.id, len(premises), L)
-        premises = premises[:L]
-    return premises
-
-
-def structure_vector(
-    m: Message, L: int, include_conclusion: bool, truncate: bool = False
-) -> np.ndarray:
-    """Presence one-hot over premise slots (filled left to right), plus an
-    always-1 conclusion slot when ``include_conclusion``."""
-    premises = _checked_premises(m, L, truncate)
-    out = np.zeros(L + (1 if include_conclusion else 0))
-    out[: len(premises)] = 1.0
-    if include_conclusion:
-        out[L] = 1.0
-    return out
-
-
-def cw_block(
-    m: Message, L: int, include_conclusion: bool, truncate: bool = False
-) -> np.ndarray:
-    """Per-slot (NFS, UFS, CFS) one-hots in structure-slot order; empty slots
-    stay all-zero."""
-    premises = _checked_premises(m, L, truncate)
-    slots = L + (1 if include_conclusion else 0)
-    out = np.zeros(3 * slots)
-    for i, p in enumerate(premises):
-        out[3 * i + CW_ORDER.index(p.cw)] = 1.0
-    if include_conclusion:
-        out[3 * L + CW_ORDER.index(m.conclusion.cw)] = 1.0
-    return out
-
-
-def hs_block(m: Message, L: int, truncate: bool = False) -> np.ndarray:
-    """L+1 binary entries, 1 iff the slot's component is annotated hateful.
-    Non-hateful, unannotated, and empty slots encode as 0."""
-    premises = _checked_premises(m, L, truncate)
-    out = np.zeros(L + 1)
-    for i, p in enumerate(premises):
-        if p.hate is ComponentHate.HATEFUL:
-            out[i] = 1.0
-    if m.conclusion.hate is ComponentHate.HATEFUL:
-        out[L] = 1.0
-    return out
-
-
-def encode(
-    m: Message,
-    spec: EncodingSpec,
-    stage1_score: float | None = None,
-    truncate: bool = False,
-) -> np.ndarray:
-    """Encode one message under ``spec``.
-
-    ``stage1_score`` (the premise-model's hateful-class probability) must be
-    given exactly for the two-stage families.
-    """
-    lay, L = spec.layout, spec.capacity
-    if lay.two_stage:
-        if stage1_score is None:
-            raise MissingStageOneScoreError(
-                f"{spec.family} requires a stage-1 score for message {m.id!r}"
-            )
-        if not 0.0 <= stage1_score <= 1.0:
-            raise StageOneScoreError(f"stage-1 score must be in [0, 1], got {stage1_score}")
-        head = np.array([float(stage1_score), 1.0])
-        if not lay.cw:
-            return head
-        concl_cw = np.zeros(3)
-        concl_cw[CW_ORDER.index(m.conclusion.cw)] = 1.0
-        return np.concatenate([head, concl_cw])
-    if stage1_score is not None:
-        raise UnexpectedStageOneScoreError(
-            f"{spec.family} does not take a stage-1 score"
-        )
-    parts = [structure_vector(m, L, lay.conclusion, truncate)]
-    if lay.cw:
-        parts.append(cw_block(m, L, lay.conclusion, truncate))
-    if lay.hs:
-        parts.append(hs_block(m, L, truncate))
-    return np.concatenate(parts)
-
-
 def feature_names(spec: EncodingSpec) -> list[str]:
     """Column names matching the encode layout (used by the encode CSV output)."""
-    lay, L = spec.layout, spec.capacity
-    if lay.two_stage:
-        names = ["stage1", "concl"]
-        if lay.cw:
-            names += [f"concl_{cw.value}" for cw in CW_ORDER]
-        return names
-    slots = [f"p{i}" for i in range(L)] + (["concl"] if lay.conclusion else [])
-    names = list(slots)
+    lay = spec.layout
+    every_slot = [f"p{i}" for i in range(spec.capacity)] + ["concl"]
+    slots = [every_slot[s] for s in spec.slots]
+    names = (["stage1"] if lay.two_stage else []) + slots
     if lay.cw:
         names += [f"{slot}_{cw.value}" for slot in slots for cw in CW_ORDER]
     if lay.hs:
-        names += [f"{slot}_hs" for slot in [f"p{i}" for i in range(L)] + ["concl"]]
+        names += [f"{slot}_hs" for slot in every_slot]
     return names
 
 
@@ -219,25 +131,59 @@ def encode_dataset(
     stage1_scores=None,
     truncate: bool = False,
 ) -> np.ndarray:
-    """Stack per-message encodings into an (n, spec.length) design matrix."""
-    if spec.two_stage:
+    """The (n, spec.length) design matrix of ``d``, C-contiguous float64.
+
+    ``stage1_scores`` (the premise model's hateful-class probability for each
+    message) must be given exactly for the two-stage families. A message with
+    more than L premises raises ``PremiseOverflowError`` unless ``truncate``
+    drops the surplus.
+    """
+    lay, L, n = spec.layout, spec.capacity, len(d)
+    blocks = []
+    if lay.two_stage:
         if stage1_scores is None:
-            raise MissingStageOneScoreError(
-                f"{spec.family} requires stage-1 scores for the whole dataset"
-            )
+            raise MissingStageOneScoreError(f"{spec.family} requires stage-1 scores")
         scores = np.asarray(stage1_scores, dtype=float)
-        if scores.shape != (len(d),):
-            raise ValueError(
-                f"need {len(d)} stage-1 scores, got shape {scores.shape}"
+        if scores.shape != (n,):
+            raise ValueError(f"need {n} stage-1 scores, got shape {scores.shape}")
+        outside = ~((scores >= 0.0) & (scores <= 1.0))  # NaN included
+        if outside.any():
+            raise StageOneScoreError(
+                f"stage-1 score must be in [0, 1], got {scores[outside][0]}"
             )
-        rows = [
-            encode(m, spec, stage1_score=float(s), truncate=truncate)
-            for m, s in zip(d.messages, scores)
-        ]
-    else:
-        if stage1_scores is not None:
-            raise UnexpectedStageOneScoreError(
-                f"{spec.family} does not take stage-1 scores"
-            )
-        rows = [encode(m, spec, truncate=truncate) for m in d.messages]
-    return np.vstack(rows)
+        blocks.append(scores[:, None])
+    elif stage1_scores is not None:
+        raise UnexpectedStageOneScoreError(f"{spec.family} does not take stage-1 scores")
+    # each slot's cw index (-1: empty) and hatefulness; the two-stage
+    # families encode no premise slot, so their premises are never read
+    cw = np.full((n, L + 1), -1)
+    hate = np.zeros((n, L + 1), dtype=bool)
+    for i, m in enumerate(d.messages):
+        premises = () if lay.two_stage else m.premises
+        if len(premises) > L:
+            if not truncate:
+                raise PremiseOverflowError(m.id, len(premises), L)
+            premises = premises[:L]
+        for slot, c in (*enumerate(premises), (L, m.conclusion)):
+            cw[i, slot] = _CW_INDEX[c.cw]
+            hate[i, slot] = c.hate is ComponentHate.HATEFUL
+    encoded = cw[:, spec.slots]
+    blocks.append(encoded >= 0)
+    if lay.cw:
+        blocks.append((encoded[:, :, None] == np.arange(len(CW_ORDER))).reshape(n, -1))
+    if lay.hs:
+        blocks.append(hate)
+    # fancy indexing can leave the blocks, and so their concatenation, in F
+    # order; gbt's split sums depend on the memory layout of what it gathers
+    return np.ascontiguousarray(np.concatenate(blocks, axis=1, dtype=float))
+
+
+def encode(
+    m: Message,
+    spec: EncodingSpec,
+    stage1_score: float | None = None,
+    truncate: bool = False,
+) -> np.ndarray:
+    """Encode one message under ``spec``: the one-row ``encode_dataset``."""
+    scores = None if stage1_score is None else [stage1_score]
+    return encode_dataset(Dataset((m,)), spec, scores, truncate)[0]

@@ -6,6 +6,7 @@ descent, tree families draw every random choice from streams derived from
 bitwise-identical models.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,10 @@ class ModelSpec:
                 object.__setattr__(self, name, default)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        for name in ("learning_rate", "regularization", "subsample"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if self.regularization is not None and self.regularization < 0:

@@ -14,6 +14,7 @@ Two modes:
   hatefulness bit classifies the dataset perfectly; premise bits are random.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,12 @@ class GeneratorConfig:
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         if self.n_hateful < 1 or self.n_nonhateful < 1:
             raise InvalidConfigError("need at least one message per class")
+        moments = (
+            self.hateful_premise_mean, self.hateful_premise_std,
+            self.nonhateful_premise_mean, self.nonhateful_premise_std,
+        )
+        if not all(math.isfinite(moment) for moment in moments):
+            raise InvalidConfigError("premise-count means and stds must be finite")
         if self.hateful_premise_std < 0 or self.nonhateful_premise_std < 0:
             raise InvalidConfigError("premise-count std must be >= 0")
         if self.max_premises < 1:

@@ -132,6 +132,18 @@ def test_encode_bad_stage1_scores_is_data_error(dataset_file, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_encode_stage1_scores_missing_ids_names_the_file(dataset_file, tmp_path, capsys):
+    scores_path = tmp_path / "scores.json"
+    scores_path.write_text(json.dumps({"h00000": 0.5}), encoding="utf-8")
+    assert main([
+        "encode", "--dataset", str(dataset_file), "--encoding", "arg-str-c-given-p",
+        "--stage1-scores", str(scores_path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {scores_path} has no stage-1 score for ids")
+    assert "line 0" not in err
+
+
 def test_encode_capacity_overflow_and_truncate(dataset_file, capsys):
     assert main([
         "encode", "--dataset", str(dataset_file), "--encoding", "arg-str",
@@ -193,6 +205,7 @@ def test_help_exits_zero_and_lists_defaults(capsys):
     assert "--encodings" in text
     assert "default: all" in text
     assert "--gbt-shrinkage" in text
+    assert "(default: None)" not in text
 
 
 @pytest.mark.parametrize("command", ("validate", "stats", "encode", "synth", "run"))
@@ -316,6 +329,20 @@ _RUN = ["run", "--dataset", "{data}"]
         ),
         pytest.param(
             ["synth", "--max-premises", "0"], None, 1, "usage error:", id="synth-max-premises"
+        ),
+        pytest.param(
+            ["synth", "--premise-mean-hate", "nan"], None, 1, "usage error:",
+            id="synth-mean-nan",
+        ),
+        pytest.param(
+            ["synth", "--premise-std-hate", "nan"], None, 1, "usage error:", id="synth-std-nan"
+        ),
+        pytest.param(_RUN + ["--lgr-l2", "nan"], None, 1, "usage error:", id="run-lgr-l2-nan"),
+        pytest.param(_RUN + ["--svm-l2", "nan"], None, 1, "usage error:", id="run-svm-l2-nan"),
+        pytest.param(_RUN + ["--lgr-l2", "inf"], None, 1, "usage error:", id="run-lgr-l2-inf"),
+        pytest.param(
+            _RUN + ["--lgr-learning-rate", "inf"], None, 1, "usage error:",
+            id="run-lgr-learning-rate-inf",
         ),
         pytest.param(
             ["encode", "--dataset", "{data}", "--encoding", "arg-str", "--capacity", "0"],

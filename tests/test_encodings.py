@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argstruct.data import Checkworthiness, ComponentHate, Dataset, MessageLabel
@@ -10,14 +10,12 @@ from argstruct.encodings import (
     MissingStageOneScoreError,
     PremiseOverflowError,
     UnexpectedStageOneScoreError,
-    cw_block,
     encode,
     encode_dataset,
     feature_names,
-    hs_block,
     stage_one_spec,
-    structure_vector,
 )
+import encoding_oracle
 from messages import make_message, message_strategy
 
 
@@ -46,25 +44,31 @@ def test_spec_validation():
         EncodingSpec("arg-str", 0)
 
 
+def _after_presence(m, family, L):
+    """encode's columns after the presence bits: the cw, then the hs block."""
+    spec = EncodingSpec(family, L)
+    return encode(m, spec)[len(spec.slots):].tolist()
+
+
 def test_structure_vector_with_conclusion():
     m = make_message(n_premises=2)
-    assert structure_vector(m, 4, True).tolist() == [1, 1, 0, 0, 1]
+    assert encode(m, EncodingSpec("arg-str", 4)).tolist() == [1, 1, 0, 0, 1]
 
 
 def test_structure_vector_premises_only():
     m = make_message(n_premises=2)
-    assert structure_vector(m, 4, False).tolist() == [1, 1, 0, 0]
+    assert encode(m, EncodingSpec("arg-str-p", 4)).tolist() == [1, 1, 0, 0]
 
 
 def test_structure_vector_overflow():
     m = make_message(n_premises=5)
     with pytest.raises(PremiseOverflowError):
-        structure_vector(m, 4, True)
+        encode(m, EncodingSpec("arg-str", 4))
 
 
 def test_structure_vector_truncates_on_request():
     m = make_message(n_premises=5)
-    assert structure_vector(m, 4, True, truncate=True).tolist() == [1, 1, 1, 1, 1]
+    assert encode(m, EncodingSpec("arg-str", 4), truncate=True).tolist() == [1, 1, 1, 1, 1]
 
 
 def test_cw_block_single_premise():
@@ -73,20 +77,20 @@ def test_cw_block_single_premise():
         premise_cw=[Checkworthiness.CFS],
         conclusion_cw=Checkworthiness.NFS,
     )
-    assert cw_block(m, 2, True).tolist() == [0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert _after_presence(m, "arg-str-cw", 2) == [0, 0, 1, 0, 0, 0, 1, 0, 0]
 
 
 def test_cw_block_worked_example(worked_message):
-    assert cw_block(worked_message, 2, True).tolist() == [0, 0, 1, 0, 0, 1, 0, 0, 1]
+    assert _after_presence(worked_message, "arg-str-cw", 2) == [0, 0, 1, 0, 0, 1, 0, 0, 1]
 
 
 def test_cw_block_excludes_conclusion():
     m = make_message(n_premises=1, premise_cw=[Checkworthiness.UFS])
-    assert cw_block(m, 2, False).tolist() == [0, 1, 0, 0, 0, 0]
+    assert _after_presence(m, "arg-str-p-cw", 2) == [0, 1, 0, 0, 0, 0]
 
 
 def test_hs_block_worked_example(worked_message):
-    assert hs_block(worked_message, 2).tolist() == [0, 0, 1]
+    assert _after_presence(worked_message, "arg-str-hs", 2) == [0, 0, 1]
 
 
 def test_hs_block_unannotated_encodes_zero():
@@ -95,7 +99,7 @@ def test_hs_block_unannotated_encodes_zero():
         premise_hate=[ComponentHate.UNANNOTATED] * 2,
         conclusion_hate=ComponentHate.UNANNOTATED,
     )
-    assert hs_block(m, 2).tolist() == [0, 0, 0]
+    assert _after_presence(m, "arg-str-hs", 2) == [0, 0, 0]
 
 
 def test_hs_block_all_nonhateful_components():
@@ -104,7 +108,7 @@ def test_hs_block_all_nonhateful_components():
         premise_hate=[ComponentHate.NON_HATEFUL],
         conclusion_hate=ComponentHate.NON_HATEFUL,
     )
-    assert hs_block(m, 1).tolist() == [0, 0]
+    assert _after_presence(m, "arg-str-hs", 1) == [0, 0]
 
 
 def test_encode_worked_example_cw_hs(worked_message):
@@ -180,8 +184,9 @@ def test_arg_str_extends_premise_only_with_constant_one(m):
 @given(m=message_strategy())
 def test_cw_slot_sums_match_occupancy(m):
     L = 6
-    block = cw_block(m, L, True).reshape(L + 1, 3)
-    occupancy = structure_vector(m, L, True)
+    vec = encode(m, EncodingSpec("arg-str-cw", L))
+    block = vec[L + 1 :].reshape(L + 1, 3)
+    occupancy = vec[: L + 1]
     assert np.array_equal(block.sum(axis=1), occupancy)
 
 
@@ -209,6 +214,14 @@ def test_encode_dataset_shape(small_dataset):
     assert X.shape == (6, 20)
 
 
+def test_encode_dataset_is_c_contiguous_float64(small_dataset):
+    for family in FAMILIES:
+        spec = EncodingSpec(family, 3)
+        scores = [0.5] * len(small_dataset) if spec.two_stage else None
+        X = encode_dataset(small_dataset, spec, stage1_scores=scores)
+        assert X.dtype == np.float64 and X.flags.c_contiguous, family
+
+
 def test_encode_dataset_two_stage_requires_scores(small_dataset):
     spec = EncodingSpec("arg-str-c-given-p", 3)
     with pytest.raises(MissingStageOneScoreError):
@@ -224,3 +237,58 @@ def test_encode_dataset_rejects_scores_for_static(small_dataset):
         encode_dataset(
             small_dataset, EncodingSpec("arg-str", 3), stage1_scores=[0.1] * 6
         )
+
+
+def test_two_stage_ignores_premise_overflow():
+    m = make_message(n_premises=5, conclusion_cw=Checkworthiness.UFS)
+    spec = EncodingSpec("arg-str-c-given-p-cw", 2)
+    assert encode(m, spec, stage1_score=0.5).tolist() == [0.5, 1.0, 0.0, 1.0, 0.0]
+
+
+def _outcome(encoder, *args):
+    """What ``encoder`` returns, or the type of the error it raises."""
+    try:
+        return encoder(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc)
+
+
+_OVERFLOW = [make_message("a", n_premises=3), make_message("b", n_premises=1)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=80, deadline=None)
+@given(
+    messages=st.lists(message_strategy(), min_size=1, max_size=8),
+    slack=st.integers(-2, 1),
+    truncate=st.booleans(),
+    kind=st.sampled_from(["valid", "bad", "short", None]),
+    pool=st.lists(
+        st.sampled_from([0.0, 1.0, -0.0]) | st.floats(0.0, 1.0), min_size=8, max_size=8
+    ),
+    bad=st.sampled_from([np.nan, -0.25, 1.5, np.inf]),
+)
+@example(messages=_OVERFLOW, slack=-1, truncate=False, kind="valid", pool=[0.5] * 8, bad=0)
+@example(messages=_OVERFLOW, slack=0, truncate=False, kind="bad", pool=[0.5] * 8, bad=np.nan)
+def test_encode_dataset_matches_oracle(family, messages, slack, truncate, kind, pool, bad):
+    """Bytes, dtype, C order and raised error type equal the per-message
+    encoder's, with L below, at and above the largest premise count, and
+    with no scores, valid scores, one bad score or a wrong score count."""
+    d = Dataset(tuple(messages))
+    spec = EncodingSpec(family, max(1, d.premise_capacity + slack))
+    scores = kind and pool[: len(d) - (kind == "short")]
+    if kind == "bad":
+        scores[-1] = bad
+    expected = _outcome(encoding_oracle.encode_dataset, d, spec, scores, truncate)
+    got = _outcome(encode_dataset, d, spec, scores, truncate)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == expected.shape == (len(d), spec.length)
+    assert got.tobytes() == expected.tobytes()
+    assert feature_names(spec) == encoding_oracle.feature_names(spec)
+    for i, m in enumerate(d):  # encode is the one-row case
+        score = None if scores is None else scores[i]
+        assert encode(m, spec, score, truncate).tobytes() == got[i].tobytes()
