@@ -10,14 +10,14 @@ import argparse
 import time
 
 from argstruct.experiment import ExperimentConfig, emit_report, run_grid
-from argstruct.synth import MODES, GeneratorConfig, generate
+from argstruct.synth import CORPUS_SIZES, MODES, GeneratorConfig, generate
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", default="table1", choices=MODES)
-    parser.add_argument("--n-hate", type=int, default=227)
-    parser.add_argument("--n-nohate", type=int, default=136)
+    parser.add_argument("--n-hate", type=int, default=CORPUS_SIZES[0])
+    parser.add_argument("--n-nohate", type=int, default=CORPUS_SIZES[1])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--jobs", type=int, default=None)

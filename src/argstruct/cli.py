@@ -39,7 +39,7 @@ from .experiment import (
     run_grid,
 )
 from .models import ModelSpec
-from .synth import MODES, GeneratorConfig, InvalidConfigError, generate
+from .synth import CORPUS_SIZES, MODES, GeneratorConfig, InvalidConfigError, generate
 
 DATA_DIR_ENV = "ARGSTRUCT_DATA_DIR"
 
@@ -191,8 +191,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "synth", help="generate a synthetic dataset", formatter_class=fmt
     )
     p.add_argument("--mode", choices=MODES, default="table1", help="generator mode")
-    p.add_argument("--n-hate", type=int, default=227, help="hateful messages")
-    p.add_argument("--n-nohate", type=int, default=136, help="non-hateful messages")
+    p.add_argument("--n-hate", type=int, default=CORPUS_SIZES[0], help="hateful messages")
+    p.add_argument("--n-nohate", type=int, default=CORPUS_SIZES[1], help="non-hateful messages")
     for flag, field, kind in _GENERATOR:
         p.add_argument(
             flag, type=kind, default=getattr(GeneratorConfig, field),
@@ -322,10 +322,15 @@ def cmd_encode(args) -> int:
             raise StageOneScoreError(
                 f"{args.stage1_scores} has no stage-1 score for ids {missing[:5]}"
             )
+        scores = [by_id[m.id] for m in d]
+        # JSON true and "0.5" would pass float(); only a JSON number is a score
+        bad = [s for s in scores if isinstance(s, bool) or not isinstance(s, (int, float))]
+        if bad:
+            raise StageOneScoreError(f"stage-1 scores must be numbers, got {bad[0]!r}")
         try:
-            scores = [float(by_id[m.id]) for m in d]
-        except (TypeError, ValueError) as exc:
-            raise StageOneScoreError(f"stage-1 scores must be numbers: {exc}") from exc
+            scores = [float(s) for s in scores]
+        except OverflowError as exc:  # an integer beyond float range
+            raise StageOneScoreError(f"stage-1 score out of range: {exc}") from exc
     elif args.stage1_scores:
         raise UsageError(f"{spec.family} does not take --stage1-scores")
     X = encode_dataset(d, spec, stage1_scores=scores, truncate=args.truncate)

@@ -167,13 +167,11 @@ def fit(spec: ModelSpec, X, y):
     """Train a model of spec.family on (X, y); deterministic given the spec."""
     from .boosting import fit_gbt
     from .forest import fit_forest
-    from .linear import fit_logistic, fit_svm
+    from .linear import fit_linear
 
     X, y = _check_training_data(X, y)
-    if spec.family == "lgr":
-        return fit_logistic(spec, X, y)
-    if spec.family == "svm":
-        return fit_svm(spec, X, y)
+    if spec.family in ("lgr", "svm"):
+        return fit_linear(spec, [(X, y)])[0]
     if spec.family == "rforest":
         return fit_forest(spec, X, y)
     return fit_gbt(spec, [(X, y)])[0]
@@ -183,16 +181,22 @@ def fit_each(spec: ModelSpec, problems):
     """One model per (X, y) problem, each bitwise identical to fit(spec, X, y).
 
     Every problem is checked before any is fitted, and all must have the same
-    width. Boosting fits the problems together (``boosting.fit_gbt``); the
-    other families fit them one at a time through ``fit``.
+    width. Boosting fits the problems together (``boosting.fit_gbt``), lgr
+    and svm descend them in lockstep (``linear.fit_linear``), and the forest
+    fits them one at a time through ``fit``.
     """
     from .boosting import fit_gbt
+    from .linear import fit_linear
 
     problems = [_check_training_data(X, y) for X, y in problems]
     widths = sorted({X.shape[1] for X, _ in problems})
     if len(widths) > 1:
         raise DimensionMismatchError(f"problems of one batch differ in width: {widths}")
-    if spec.family != "gbt":
-        return [fit(spec, X, y) for X, y in problems]
-    return fit_gbt(spec, problems) if problems else []
+    if not problems:
+        return []
+    if spec.family == "gbt":
+        return fit_gbt(spec, problems)
+    if spec.family in ("lgr", "svm"):
+        return fit_linear(spec, problems)
+    return [fit(spec, X, y) for X, y in problems]
 

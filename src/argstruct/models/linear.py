@@ -16,13 +16,12 @@ GRAD_TOL = 1e-8
 
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)) from one e = exp(-|z|), which never overflows:
+    where(z >= 0, 1, e) / (1 + e) is bitwise the two-branch form
+    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.copysign(z, -1.0))  # -|z| in one call
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -43,44 +42,83 @@ def _constant_columns(X):
     return (X == X[0]).all(axis=0)
 
 
-def fit_logistic(spec, X, y) -> LinearModel:
-    """Gradient descent on L2-regularized mean log loss, zero-initialized,
-    stopping at max_iter or gradient norm < 1e-8."""
-    return _descend(spec, X, y, family="lgr", loss="log")
+def fit_linear(spec, problems) -> list[LinearModel]:
+    """One lgr or svm model per (X, y) problem, the problems descended in lockstep.
 
+    lgr: gradient descent on L2-regularized mean log loss. svm: subgradient
+    descent on L2-regularized mean hinge loss (or log loss when the spec asks
+    for it), with a logistic link over the margin at predict time. Both start
+    from zero and stop at max_iter or once the gradient norm is below GRAD_TOL.
 
-def fit_svm(spec, X, y) -> LinearModel:
-    """Subgradient descent on L2-regularized mean hinge loss (or log loss when
-    the spec asks for it), with a logistic link over the margin at predict time."""
-    return _descend(spec, X, y, family="svm", loss=spec.loss)
-
-
-def _descend(spec, X, y, family, loss) -> LinearModel:
-    const = _constant_columns(X)
-    n = len(X)
-    # duplicate (row, label) pairs collapse to weighted unique rows
-    U, yu, counts, _ = dedup_rows(X[:, ~const], y)
-    Ut = np.ascontiguousarray(U.T)
-    wn = counts / n
+    Each problem keeps its own unpadded BLAS products and sums (``U @ w``,
+    ``Ut @ r``, ``r.sum()``, ``dw @ dw``), whose bits depend on summation
+    order; the elementwise steps, whose bits do not, run once over all
+    problems' rows and columns. A problem that reaches GRAD_TOL freezes while
+    the others go on, so every model is bitwise the one it gets alone.
+    """
+    log = spec.family == "lgr" or spec.loss == "log"
+    consts, Us, yus, wns = [], [], [], []
+    for X, y in problems:
+        const = _constant_columns(X)
+        # duplicate (row, label) pairs collapse to weighted unique rows
+        U, yu, counts, _ = dedup_rows(X[:, ~const], y)
+        consts.append(const)
+        Us.append(U)
+        yus.append(yu)
+        wns.append(counts / len(X))
+    n_rows, n_cols = [len(U) for U in Us], [U.shape[1] for U in Us]
+    k, width = len(Us), sum(n_cols)
+    row_owner = np.repeat(np.arange(k), n_rows)
+    col_owner = np.repeat(np.arange(k), n_cols)
+    yu, wn = np.concatenate(yus), np.concatenate(wns)
+    s = 2.0 * yu - 1.0  # +-1 targets for the hinge
+    ws = wn * s
     lr = spec.learning_rate
     reg = spec.regularization
-    w = np.zeros(U.shape[1])
-    b = 0.0
-    s = 2.0 * yu - 1.0  # +-1 targets for the hinge
+    # theta holds every problem's weights, then every problem's bias, and
+    # grad their gradient. A lane is one problem's arrays and its views of the
+    # shared buffers; np.dot with out= makes the same gemv and ddot calls as @.
+    theta, grad = np.zeros(width + k), np.empty(width + k)
+    w, b, dw, db = theta[:width], theta[width:], grad[:width], grad[width:]
+    z, r, g, sq = np.empty(len(yu)), np.empty(len(yu)), np.empty(width), np.empty(k)
+    row_cuts, col_cuts = np.cumsum(n_rows)[:-1], np.cumsum(n_cols)[:-1]
+    lanes = list(zip(
+        range(k), Us, [np.ascontiguousarray(U.T) for U in Us],
+        np.split(z, row_cuts), np.split(r, row_cuts),
+        np.split(w, col_cuts), np.split(g, col_cuts), np.split(dw, col_cuts),
+    ))
+    frozen, stepping = 0, True  # stepping: the entries of theta that still move
     for _ in range(spec.max_iter):
-        z = U @ w + b
-        if loss == "log":
-            residual = wn * (sigmoid(z) - yu)
-            dw = Ut @ residual + reg * w
-            db = residual.sum()
+        for _, U, _, zi, _, wi, _, _ in lanes:
+            np.dot(U, wi, out=zi)
+        z += b[row_owner]
+        if log:
+            np.subtract(sigmoid(z), yu, out=r)
+            r *= wn
         else:
-            pull = wn * s * (s * z < 1.0)
-            dw = -(Ut @ pull) + reg * w
-            db = -pull.sum()
-        if np.sqrt(dw @ dw + db * db) < GRAD_TOL:
-            break
-        w -= lr * dw
-        b -= lr * db
-    weights = np.zeros(X.shape[1])
-    weights[~const] = w
-    return LinearModel(family=family, weights=weights, bias=float(b))
+            np.multiply(ws, s * z < 1.0, out=r)
+        for i, _, Ut, _, ri, _, gi, _ in lanes:
+            np.dot(Ut, ri, out=gi)
+            db[i] = np.add.reduce(ri) if log else -np.add.reduce(ri)
+        if log:
+            np.add(g, reg * w, out=dw)
+        else:  # reg * w - g is -(Ut @ r) + reg * w, bit for bit
+            np.subtract(reg * w, g, out=dw)
+        for i, *_, dwi in lanes:
+            sq[i] = np.dot(dwi, dwi)
+        stop = np.sqrt(sq + db * db) < GRAD_TOL
+        # a frozen problem's sq and db are never rewritten, so it stays stopped
+        if np.count_nonzero(stop) > frozen:
+            # these problems stop here, before this step, as each would alone
+            frozen = np.count_nonzero(stop)
+            if frozen == k:
+                break
+            lanes = [lane for lane in lanes if not stop[lane[0]]]
+            stepping = ~np.concatenate([stop[col_owner], stop])
+        np.subtract(theta, lr * grad, out=theta, where=stepping)
+    models = []
+    for const, wi, bi in zip(consts, np.split(w, col_cuts), b):
+        weights = np.zeros(len(const))
+        weights[~const] = wi
+        models.append(LinearModel(family=spec.family, weights=weights, bias=float(bi)))
+    return models

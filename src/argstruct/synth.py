@@ -59,7 +59,9 @@ NON_HATEFUL_CONCLUSION_CW_WEIGHTS = {
     Checkworthiness.CFS: 18,
 }
 
-# per-class premise-count moments observed in WSF-ARG+
+# WSF-ARG+ message counts (hateful, non-hateful), and its per-class
+# premise-count moments
+CORPUS_SIZES = (227, 136)
 HATEFUL_PREMISES_MEAN_STD = (1.789, 0.644)
 NON_HATEFUL_PREMISES_MEAN_STD = (2.654, 1.157)
 

@@ -6,7 +6,7 @@ from argstruct.data import (
     Dataset,
     MessageLabel,
 )
-from argstruct.synth import GeneratorConfig, generate
+from argstruct.synth import CORPUS_SIZES, GeneratorConfig, generate
 from messages import make_message
 
 
@@ -57,7 +57,8 @@ def small_dataset():
 @pytest.fixture(scope="session")
 def table1_dataset():
     return generate(
-        GeneratorConfig(mode="table1", n_hateful=227, n_nonhateful=136, seed=0)
+        GeneratorConfig(mode="table1", n_hateful=CORPUS_SIZES[0],
+                        n_nonhateful=CORPUS_SIZES[1], seed=0)
     )
 
 

@@ -1,0 +1,63 @@
+"""The one-problem-at-a-time descent loop: the reference for ``fit_linear``.
+
+``sigmoid`` and ``_descend`` are the original two-branch sigmoid and
+per-problem descent loop, verbatim. ``fit`` fits one problem with them the
+way the lgr and svm models did, so a test can compare ``model_to_dict`` of
+its model with that of a model the library fitted in a batch.
+"""
+
+import numpy as np
+
+from argstruct.models import dedup_rows
+from argstruct.models.linear import GRAD_TOL, LinearModel
+
+
+def sigmoid(z):
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _constant_columns(X):
+    return (X == X[0]).all(axis=0)
+
+
+def fit(spec, X, y) -> LinearModel:
+    loss = "log" if spec.family == "lgr" else spec.loss
+    X = np.asarray(X, dtype=float)
+    return _descend(spec, X, np.asarray(y, dtype=float), family=spec.family, loss=loss)
+
+
+def _descend(spec, X, y, family, loss) -> LinearModel:
+    const = _constant_columns(X)
+    n = len(X)
+    # duplicate (row, label) pairs collapse to weighted unique rows
+    U, yu, counts, _ = dedup_rows(X[:, ~const], y)
+    Ut = np.ascontiguousarray(U.T)
+    wn = counts / n
+    lr = spec.learning_rate
+    reg = spec.regularization
+    w = np.zeros(U.shape[1])
+    b = 0.0
+    s = 2.0 * yu - 1.0  # +-1 targets for the hinge
+    for _ in range(spec.max_iter):
+        z = U @ w + b
+        if loss == "log":
+            residual = wn * (sigmoid(z) - yu)
+            dw = Ut @ residual + reg * w
+            db = residual.sum()
+        else:
+            pull = wn * s * (s * z < 1.0)
+            dw = -(Ut @ pull) + reg * w
+            db = -pull.sum()
+        if np.sqrt(dw @ dw + db * db) < GRAD_TOL:
+            break
+        w -= lr * dw
+        b -= lr * db
+    weights = np.zeros(X.shape[1])
+    weights[~const] = w
+    return LinearModel(family=family, weights=weights, bias=float(b))

@@ -113,8 +113,9 @@ def test_encode_two_stage_with_scores(dataset_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "first_score",
-    ["1.5", "NaN", '"high"', "{", None],
-    ids=["out-of-range", "nan", "not-a-number", "invalid-json", "not-an-object"],
+    ["1.5", "NaN", '"high"', "{", None, "true", '"0.5"', "1" + "0" * 400],
+    ids=["out-of-range", "nan", "not-a-number", "invalid-json", "not-an-object",
+         "bool", "numeric-string", "huge-int"],
 )
 def test_encode_bad_stage1_scores_is_data_error(dataset_file, tmp_path, capsys, first_score):
     d = generate(GeneratorConfig(mode="table1", n_hateful=30, n_nonhateful=25, seed=0))

@@ -3,7 +3,9 @@
 Every fitted forest and boosted model must serialize exactly as the
 recursive builder in ``tree_oracle`` grows it, and score every row with the
 same bits as that builder's one-node-at-a-time prediction. A batch fitted
-by ``fit_each`` must give, problem by problem, the models ``fit`` gives.
+by ``fit_each`` must give, problem by problem, the models ``fit`` gives, and
+for lgr and svm the models the one-problem descent loop in ``linear_oracle``
+gives.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linear_oracle
 import tree_oracle
 from argstruct.evaluation import stratified_kfold
 from argstruct.experiment import design_matrices
@@ -127,9 +130,12 @@ def batches(draw):
     return batch
 
 
-def _spec(family, depth, subsample, seed):
+def _spec(family, depth, subsample, seed, linear=(None, None, None)):
     if family in ("lgr", "svm"):
-        return ModelSpec(family, max_iter=50, seed=seed)
+        # lr 5.0 lets some small problems reach GRAD_TOL and freeze early
+        learning_rate, regularization, loss = linear
+        return ModelSpec(family, max_iter=200, seed=seed, learning_rate=learning_rate,
+                         regularization=regularization, loss=loss)
     if family == "rforest":
         return ModelSpec(family, tree_count=4, max_depth=2 * depth, seed=seed)
     return ModelSpec(family, tree_count=5, max_depth=depth, subsample=subsample, seed=seed)
@@ -142,9 +148,14 @@ def _spec(family, depth, subsample, seed):
     depth=st.integers(1, 4),
     subsample=st.sampled_from([1.0, 0.6]),
     seed=st.integers(0, 2 ** 16),
+    linear=st.tuples(
+        st.sampled_from([None, 5.0]),
+        st.sampled_from([None, 0.0, 0.01]),
+        st.sampled_from([None, "log"]),
+    ),
 )
-def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed):
-    spec = _spec(family, depth, subsample, seed)
+def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed, linear):
+    spec = _spec(family, depth, subsample, seed, linear)
     rows = np.vstack([X for X, _ in batch] + [1.0 - X for X, _ in batch])
     models = fit_each(spec, batch)
     assert len(models) == len(batch)
@@ -156,6 +167,13 @@ def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed)
             expected = tree_oracle.gbt_dict(spec, X, y)
             assert model_to_dict(model) == expected
             assert model.predict_score(rows).tobytes() == tree_oracle.scores(expected, rows).tobytes()
+        if family in ("lgr", "svm"):
+            oracle = linear_oracle.fit(spec, X, y)
+            assert model_to_dict(model) == model_to_dict(oracle)
+            assert model.weights.tobytes() == oracle.weights.tobytes()
+            assert np.float64(model.bias).tobytes() == np.float64(oracle.bias).tobytes()
+            expected = linear_oracle.sigmoid(rows @ oracle.weights + oracle.bias)
+            assert model.predict_score(rows).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("family", MODEL_FAMILIES)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from argstruct.models import dedup_rows
-from argstruct.models.linear import sigmoid
+from linear_oracle import sigmoid
 
 GAIN_EPS = 1e-12
 
