@@ -1,9 +1,9 @@
 """Differential tests: the lockstep linear descent against the one-problem loop.
 
 ``fit_linear`` descends a batch of problems together, sharing every
-elementwise step; each model must still serialize exactly as the original
-loop in ``linear_oracle`` fits its problem alone, and ``sigmoid`` must give
-the original two-branch form's bits.
+elementwise step; each model must still carry the weight and bias bits that
+the original loop in ``linear_oracle`` gives its problem alone, and
+``sigmoid`` must give the original two-branch form's bits.
 """
 
 import numpy as np
