@@ -40,9 +40,6 @@ from .evaluation import (
 from .models import ModelSpec, fit_each, threshold
 
 MODEL_ORDER = ("lgr", "rforest", "svm", "gbt")
-ENCODING_ORDER = FAMILIES
-
-REPORT_FORMATS = ("markdown", "csv", "json")
 
 
 class UnknownFormatError(Exception):
@@ -51,7 +48,7 @@ class UnknownFormatError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    encodings: tuple[str, ...] = ENCODING_ORDER
+    encodings: tuple[str, ...] = FAMILIES
     models: tuple[ModelSpec, ...] = tuple(ModelSpec(f) for f in MODEL_ORDER)
     k: int = 5
     seed: int = 0
@@ -70,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("need at least one model")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -360,15 +359,15 @@ def _json(report: ExperimentReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_RENDERERS = {"markdown": _markdown, "csv": _csv, "json": _json}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
 def emit_report(report: ExperimentReport, format: str = "markdown") -> str:
     """Render a report; markdown rounds to 3 decimals (half-to-even), csv and
     json carry full precision. Output is byte-deterministic."""
-    if format == "markdown":
-        return _markdown(report)
-    if format == "csv":
-        return _csv(report)
-    if format == "json":
-        return _json(report)
-    raise UnknownFormatError(
-        f"unknown report format {format!r}; valid: {list(REPORT_FORMATS)}"
-    )
+    if format not in _RENDERERS:
+        raise UnknownFormatError(
+            f"unknown report format {format!r}; valid: {list(REPORT_FORMATS)}"
+        )
+    return _RENDERERS[format](report)

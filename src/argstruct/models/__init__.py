@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import DataError
+from .tree import distinct_rows
 
 MODEL_FAMILIES = ("lgr", "svm", "rforest", "gbt")
 
@@ -80,14 +81,12 @@ class Classifier:
 def dedup_rows(X, y):
     """Collapse identical (row, label) pairs into unique rows with counts.
 
-    Returns (unique_X, unique_y, counts, inverse); the grouping, and hence
-    every weighted statistic, is unchanged by appending constant columns.
+    Returns (unique_X, unique_y, counts, inverse), the pairs in
+    np.unique(axis=0) order; the grouping, and hence every weighted
+    statistic, is unchanged by appending constant columns.
     """
-    key = np.hstack([X, y[:, None]])
-    unique, inverse, counts = np.unique(
-        key, axis=0, return_inverse=True, return_counts=True
-    )
-    return unique[:, :-1], unique[:, -1], counts.astype(float), inverse
+    unique, inverse = distinct_rows(np.hstack([X, y[:, None]]))
+    return unique[:, :-1], unique[:, -1], np.bincount(inverse).astype(float), inverse
 
 
 @dataclass(frozen=True)

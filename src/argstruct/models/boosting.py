@@ -7,11 +7,13 @@ so ``fit_gbt`` boosts a batch of problems of one width together. Their unique
 rows are stacked in blocks, and each round grows every problem's tree in one
 ``grow_trees`` call: tree i weights only block i, with its counts or its
 round's subsample, and ``grow_trees`` takes a node's float sums over that
-node's own rows in row order. So each model is bitwise the one a batch of
-one gives, and a round's fixed per-step cost is shared by all problems.
+node's own rows in row order. Block i then takes its rows' leaf values from
+tree i. So each model is bitwise the one a batch of one gives, and a round's
+fixed per-step cost is shared by all problems. The models of a batch share
+one set of node arrays, each holding the roots of its own trees.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,9 +82,8 @@ def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
                 )
         else:
             weights = counts
-        trees, fitted = grow_trees(stacked, grad, weights, spec.max_depth, sse_gain, leaf_fn)
-        # every tree gives every stacked row a leaf; each block takes its own tree's
-        F += spec.learning_rate * fitted[block, rows]
+        trees = grow_trees(stacked, grad, weights, spec.max_depth, sse_gain, leaf_fn)
+        F += spec.learning_rate * trees.leaf_values(stacked)[block, rows]
         rounds.append(trees)
     grown = Trees.concat(rounds)  # round-major: tree r * k + i is problem i's round r
     return [
@@ -90,7 +91,7 @@ def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
             family="gbt",
             base_score=base,
             shrinkage=spec.learning_rate,
-            trees=grown.take(np.arange(i, len(grown), k)),
+            trees=replace(grown, roots=grown.roots[i::k]),
             n_features=stacked.shape[1],
         )
         for i, base in enumerate(bases)

@@ -54,5 +54,5 @@ def fit_forest(spec, X, y) -> RandomForestModel:
         pick = rngs[tree].permutation(len(candidates))[:m]
         return candidates[np.sort(pick)]
 
-    trees, _ = grow_trees(unique, y_u, weights, spec.max_depth, gain_fn, leaf_fn, choose_features)
+    trees = grow_trees(unique, y_u, weights, spec.max_depth, gain_fn, leaf_fn, choose_features)
     return RandomForestModel(family="rforest", trees=trees, n_features=d)

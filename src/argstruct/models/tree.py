@@ -20,12 +20,13 @@ node over the node's own rows and candidate columns, in row order, so a
 tree's sums depend neither on the nodes it shares a step with nor on rows
 its weights leave out. Boosting relies on this to grow the trees of
 several problems in one call, each weighting only its own block of stacked
-rows. Children that are leaves by depth, weight or purity get their
-values when created, and every node keeps the unique rows that reach it, so
-the builder also returns the leaf value of each unique row.
+rows. A node is its tree's weight row with the rows that do not reach it
+zeroed, and children that are leaves by depth, weight or purity get their
+values when created.
 
-Grown trees are flat arrays (``Trees``), each tree's nodes one contiguous
-block; prediction descends all trees at once, one vectorized step per level.
+Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
+its root reaches; prediction descends all trees at once, one vectorized step
+per level.
 """
 
 from dataclasses import dataclass
@@ -82,8 +83,9 @@ class Trees:
     Node ``i`` splits on ``feature[i]`` (rows with value <= ``threshold[i]``
     go to ``left[i]``, the rest to ``right[i]``) or, when ``feature[i]`` is
     -1, is a leaf holding ``value[i]`` whose ``left`` and ``right`` point to
-    itself. Child indices are absolute; tree ``k`` holds the nodes from
-    ``roots[k]`` up to the next tree's root.
+    itself. Child indices are absolute; tree ``k`` is the set of nodes
+    ``roots[k]`` reaches, wherever they lie in the arrays, so several
+    sequences may share one set of node arrays.
     """
 
     feature: np.ndarray
@@ -106,18 +108,6 @@ class Trees:
         ]
         return cls(*(np.concatenate(arrays) for arrays in zip(*joined)))
 
-    def take(self, indices):
-        """The trees ``indices``, in that order, renumbered as one sequence."""
-        starts = self.roots[indices]
-        sizes = np.append(self.roots[1:], len(self.feature))[indices] - starts
-        roots = (np.cumsum(sizes) - sizes).astype(np.int32)
-        shift = np.repeat(roots - starts, sizes)  # new index - old index, per node
-        nodes = np.arange(len(shift)) - shift
-        return Trees(
-            self.feature[nodes], self.threshold[nodes], self.left[nodes] + shift,
-            self.right[nodes] + shift, self.value[nodes], roots,
-        )
-
     def leaf_values(self, X):
         """values[k, i]: the value of the leaf tree k sends row X[i] to."""
         node = np.repeat(self.roots[:, None], len(X), axis=1)
@@ -134,10 +124,11 @@ class Trees:
 def distinct_rows(X):
     """(U, inverse) with X == U[inverse]: predict once per distinct row.
 
-    Row indices are sorted by every column and neighbours compared one column
-    at a time, so unlike np.unique(axis=0) this makes no copy of X.
+    Row indices are sorted by every column, the first one primary, and
+    neighbours compared one column at a time: U (up to the sign of a zero)
+    and the inverse are those np.unique(X, axis=0) gives, with no copy of X.
     """
-    order = np.lexsort(X.T) if X.shape[1] else np.arange(len(X))
+    order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(len(X))
     first = np.zeros(len(X), dtype=bool)  # first of its group in sorted order
     first[:1] = True
     for column in X.T:
@@ -153,18 +144,16 @@ class _Nodes:
 
     def __init__(self):
         self.count = 0
-        self.owners = []  # the tree of each numbered node, in numbering order
         self.splits = []  # (ids, feature, threshold, left ids, right ids)
         self.leaves = []  # (ids, values)
 
-    def number(self, trees):
-        """Ids for new nodes of ``trees``, one each."""
-        self.count += len(trees)
-        self.owners.append(trees)
-        return np.arange(self.count - len(trees), self.count)
+    def number(self, n):
+        """Ids for ``n`` new nodes."""
+        self.count += n
+        return np.arange(self.count - n, self.count)
 
     def trees(self, roots):
-        """The build as ``Trees``, laid out tree by tree in numbering order."""
+        """The build as ``Trees``, its nodes in numbering order."""
         feature = np.full(self.count, -1, dtype=np.int32)
         threshold = np.zeros(self.count)
         left = np.arange(self.count, dtype=np.int32)
@@ -174,13 +163,7 @@ class _Nodes:
             feature[ids], threshold[ids], left[ids], right[ids] = f, thr, lo, hi
         for ids, v in self.leaves:
             value[ids] = v
-        order = np.argsort(np.concatenate(self.owners), kind="stable")
-        position = np.empty(self.count, dtype=np.int32)
-        position[order] = np.arange(self.count)
-        return Trees(
-            feature[order], threshold[order], position[left[order]],
-            position[right[order]], value[order], position[roots],
-        )
+        return Trees(feature, threshold, left, right, value, roots.astype(np.int32))
 
 
 def node_slices(node, count):
@@ -235,10 +218,8 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
     ``W``. ``choose_features(k, candidates)`` optionally subsamples a node's
     varying columns (random-forest style); it is called in each tree's
     depth-first preorder. Without it nothing is drawn, the order is free,
-    and each step expands every pending node.
-
-    Returns (trees, fitted): fitted[k, u] is the value of the leaf that
-    unique row u reaches in tree k, weighted or not.
+    and each step expands every pending node. Tree k of the returned
+    ``Trees`` is the one ``weights[k]`` grows.
     """
     X = np.asarray(X, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -246,42 +227,34 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
     sorted_cols = {j: _sorted_column(X[:, j]) for j in (~binary).nonzero()[0].tolist()}
     integer_targets = bool((t == np.round(t)).all())
     nodes = _Nodes()
-    fitted = np.zeros(weights.shape)
 
-    def leaves(trees, ids, W, reach):
-        values = np.asarray(leaf_fn(W), dtype=float)
-        nodes.leaves.append((ids, values))
-        node, row = reach.nonzero()
-        fitted[trees[node], row] = values[node]
+    def leaves(ids, W):
+        nodes.leaves.append((ids, np.asarray(leaf_fn(W), dtype=float)))
 
-    def settle(trees, ids, depth, reach):
-        # nodes hold the unique rows that reach them; leaves by depth, weight
-        # or purity get their values now, the rest are returned for a step
-        W = weights[trees] * reach
+    def settle(trees, ids, depth, W):
+        # leaves by depth, weight or purity get their values now, the rest
+        # are returned for a step
         leaf = depth >= max_depth
         if leaf.all():
-            leaves(trees, ids, W, reach)
+            leaves(ids, W)
             return ()
         member = W > 0
         leaf |= (W.sum(axis=1) < MIN_SAMPLES_SPLIT) | (
             np.where(member, t, np.inf).min(axis=1) == np.where(member, t, -np.inf).max(axis=1)
         )
         if leaf.any():
-            leaves(trees[leaf], ids[leaf], W[leaf], reach[leaf])
+            leaves(ids[leaf], W[leaf])
         keep = ~leaf
         if not keep.any():
             return ()
-        return trees[keep], ids[keep], depth[keep], reach[keep]
+        return trees[keep], ids[keep], depth[keep], W[keep]
 
     n_trees = len(weights)
-    roots = nodes.number(np.arange(n_trees))
+    roots = nodes.number(n_trees)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # pending nodes (tree, id, depth, reach row) in the order they were
+        # pending nodes (tree, id, depth, weight row) in the order they were
         # stacked; each tree's newest one is the next in its preorder
-        pending = settle(
-            np.arange(n_trees), roots, np.zeros(n_trees, dtype=int),
-            np.ones(weights.shape, dtype=bool),
-        )
+        pending = settle(np.arange(n_trees), roots, np.zeros(n_trees, dtype=int), weights)
         while pending:
             if choose_features is None:
                 batch, pending = pending, ()
@@ -291,21 +264,20 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
                 rest[newest] = False
                 batch = tuple(p[newest] for p in pending)
                 pending = tuple(p[rest] for p in pending) if rest.any() else ()
-            trees, ids, depth, reach = batch
-            W = weights[trees] * reach
+            trees, ids, depth, W = batch
             feature, threshold = _best_splits(
                 X, t, W, sorted_cols, integer_targets, gain_fn, choose_features, trees
             )
             split = feature >= 0
             if not split.all():
                 leaf = ~split
-                leaves(trees[leaf], ids[leaf], W[leaf], reach[leaf])
-                trees, ids, depth, reach = trees[split], ids[split], depth[split], reach[split]
+                leaves(ids[leaf], W[leaf])
+                trees, ids, depth, W = trees[split], ids[split], depth[split], W[split]
                 feature, threshold = feature[split], threshold[split]
             if not len(ids):
                 continue
             go_left = X[:, feature].T <= threshold[:, None]
-            right_left = nodes.number(np.concatenate([trees, trees]))
+            right_left = nodes.number(2 * len(ids))
             right, left = right_left[: len(ids)], right_left[len(ids):]
             nodes.splits.append((ids, feature, threshold, left, right))
             # right children are stacked before left ones, so left pops first
@@ -313,13 +285,13 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
                 np.concatenate([trees, trees]),
                 right_left,
                 np.concatenate([depth, depth]) + 1,
-                np.concatenate([reach & ~go_left, reach & go_left]),
+                np.concatenate([W * ~go_left, W * go_left]),
             )
             if pending and children:
                 pending = tuple(map(np.concatenate, zip(pending, children)))
             else:
                 pending = pending or children
-    return nodes.trees(roots), fitted
+    return nodes.trees(roots)
 
 
 def _best_splits(X, t, W, sorted_cols, integer_targets, gain_fn, choose_features, trees):
@@ -347,11 +319,7 @@ def _best_splits(X, t, W, sorted_cols, integer_targets, gain_fn, choose_features
         candidate = varying
     else:
         node, col = varying.nonzero()
-        ends = np.cumsum(np.bincount(node, minlength=a)).tolist()
-        chosen = [
-            choose_features(k, col[start:end])
-            for k, start, end in zip(trees.tolist(), [0] + ends, ends)
-        ]
+        chosen = [choose_features(k, col[s]) for k, s in zip(trees.tolist(), node_slices(node, a))]
         candidate = np.zeros_like(varying)
         candidate[np.repeat(np.arange(a), [len(c) for c in chosen]), np.concatenate(chosen)] = True
     if not candidate.any():  # also the case of a design with no columns

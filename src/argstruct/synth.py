@@ -93,6 +93,8 @@ class GeneratorConfig:
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         if self.n_hateful < 1 or self.n_nonhateful < 1:
             raise InvalidConfigError("need at least one message per class")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         moments = (
             self.hateful_premise_mean, self.hateful_premise_std,
             self.nonhateful_premise_mean, self.nonhateful_premise_std,

@@ -4,12 +4,28 @@
 per-problem descent loop, verbatim. ``fit`` fits one problem with them the
 way the lgr and svm models did, so a test can compare ``model_to_dict`` of
 its model with that of a model the library fitted in a batch.
+
+``dedup_rows`` is the original ``np.unique``-based row collapse, verbatim,
+so the oracles (this one and ``tree_oracle``) do not share the library's
+row order and a change to it shows as a difference.
 """
 
 import numpy as np
 
-from argstruct.models import dedup_rows
 from argstruct.models.linear import GRAD_TOL, LinearModel
+
+
+def dedup_rows(X, y):
+    """Collapse identical (row, label) pairs into unique rows with counts.
+
+    Returns (unique_X, unique_y, counts, inverse); the grouping, and hence
+    every weighted statistic, is unchanged by appending constant columns.
+    """
+    key = np.hstack([X, y[:, None]])
+    unique, inverse, counts = np.unique(
+        key, axis=0, return_inverse=True, return_counts=True
+    )
+    return unique[:, :-1], unique[:, -1], counts.astype(float), inverse
 
 
 def sigmoid(z):

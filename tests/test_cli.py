@@ -324,6 +324,9 @@ _RUN = ["run", "--dataset", "{data}"]
         pytest.param(_RUN, {"models": 5}, 1, "usage error:", id="config-models-number"),
         pytest.param(_RUN, {"format": "xml"}, 1, "argstruct run: error:", id="config-format"),
         pytest.param(_RUN, {"inner_cv": "no"}, 1, "usage error:", id="config-switch-string"),
+        pytest.param(_RUN, {"seed": -1}, 1, "usage error:", id="config-seed-negative"),
+        pytest.param(_RUN + ["--seed", "-1"], None, 1, "usage error:", id="run-seed-negative"),
+        pytest.param(["synth", "--seed", "-1"], None, 1, "usage error:", id="synth-seed-negative"),
         pytest.param(["synth", "--n-hate", "0"], None, 1, "usage error:", id="synth-n-hate"),
         pytest.param(
             ["synth", "--premise-std-hate", "-1"], None, 1, "usage error:", id="synth-std"

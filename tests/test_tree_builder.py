@@ -5,7 +5,8 @@ recursive builder in ``tree_oracle`` grows it, and score every row with the
 same bits as that builder's one-node-at-a-time prediction. A batch fitted
 by ``fit_each`` must give, problem by problem, the models ``fit`` gives, and
 for lgr and svm the models the one-problem descent loop in ``linear_oracle``
-gives.
+gives. ``dedup_rows`` must collapse rows exactly as the oracles'
+``np.unique``-based copy does.
 """
 
 import math
@@ -24,10 +25,11 @@ from argstruct.models import (
     DimensionMismatchError,
     ModelSpec,
     NonFiniteInputError,
+    dedup_rows,
     fit,
     fit_each,
 )
-from argstruct.models.persist import model_to_dict
+from argstruct.models.persist import load_model, model_to_dict, save_model
 from argstruct.models.tree import gini_gain, grow_trees
 from argstruct.synth import GeneratorConfig, generate
 
@@ -55,6 +57,26 @@ def problems(draw):
     if constant is not None:
         X = np.hstack([X, np.full((n, 1), constant)])
     return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.booleans(), max_size=4),
+    data=st.data(),
+)
+def test_dedup_rows_matches_np_unique_reference(kinds, data):
+    # every width from 0, one row up, and a pool of one (row, label) pair,
+    # where all rows are duplicates: unique rows, labels, counts and inverse
+    # must come out in np.unique's order, which boosting's float sums follow
+    column = [CONTINUOUS_VALUES if continuous else BINARY_VALUES for continuous in kinds]
+    pool = data.draw(st.lists(st.tuples(st.tuples(*column), BINARY_VALUES), min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    X = np.array([pool[i][0] for i in picks], dtype=float).reshape(len(picks), len(kinds))
+    y = np.array([pool[i][1] for i in picks])
+    for got, expected in zip(dedup_rows(X, y), linear_oracle.dedup_rows(X, y)):
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def _assert_matches_oracle(spec, X, y, expected):
@@ -99,7 +121,7 @@ def test_gini_tie_between_complementary_columns_follows_recursive_builder():
     X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
     t = np.array([1.0, 0.0, 1.0, 0.0])
     w = np.array([4.0, 7.0, 53.0, 93.0])
-    trees, _ = grow_trees(X, t, w[None, :], 1, gini_gain, lambda W: np.zeros(len(W)))
+    trees = grow_trees(X, t, w[None, :], 1, gini_gain, lambda W: np.zeros(len(W)))
     root = tree_oracle.grow_tree(
         X, t, np.arange(4), w, 1, tree_oracle.gini_gain, lambda idx, w: 0.0, binary=True
     )
@@ -219,3 +241,23 @@ def test_fit_each_matches_recursive_builder_on_corpus_folds(subsample):
     spec = ModelSpec("gbt", tree_count=10, subsample=subsample, seed=5)
     for model, train in zip(fit_each(spec, [(X[t], y[t]) for t in trains]), trains):
         assert model_to_dict(model) == tree_oracle.gbt_dict(spec, X[train], y[train])
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_batched_gbt_models_save_and_reload_like_single_fits(subsample, tmp_path):
+    # the models of a batch share one build's node arrays, each holding the
+    # roots of its own trees; each must save, reload and score exactly as
+    # the model fitted on its problem alone
+    dataset = generate(GeneratorConfig(mode="table1", n_hateful=60, n_nonhateful=40, seed=7))
+    y = np.asarray(dataset.labels(), dtype=float)
+    X = design_matrices(dataset, ["arg-str-cw"])["arg-str-cw"]
+    folds = stratified_kfold(dataset.labels(), 4, seed=7)
+    trains = [folds.train_indices(fold) for fold in range(4)]
+    spec = ModelSpec("gbt", tree_count=6, subsample=subsample, seed=7)
+    batched, alone = tmp_path / "batched.json", tmp_path / "alone.json"
+    for model, train in zip(fit_each(spec, [(X[t], y[t]) for t in trains]), trains):
+        assert len(model.trees) == spec.tree_count
+        save_model(model, batched)
+        save_model(fit(spec, X[train], y[train]), alone)
+        assert batched.read_bytes() == alone.read_bytes()
+        assert load_model(batched).predict_score(X).tobytes() == model.predict_score(X).tobytes()

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from argstruct.models import dedup_rows
-from linear_oracle import sigmoid
+from linear_oracle import dedup_rows, sigmoid
 
 GAIN_EPS = 1e-12
 
