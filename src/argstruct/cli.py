@@ -18,6 +18,7 @@ from pathlib import Path
 from .data import (
     DataError,
     EmptyDatasetError,
+    MessageLabel,
     PartialAnnotationWarning,
     dataset_stats,
     dataset_to_jsonl,
@@ -277,7 +278,7 @@ def cmd_validate(args) -> int:
         sys.stderr.write(f"{len(result.skipped)} invalid record(s)\n")
         return 2
     d = result.dataset
-    n_hate = sum(1 for m in d if m.label.value == "hate")
+    n_hate = d.class_counts[MessageLabel.HATEFUL]
     sys.stdout.write(
         f"OK: {len(d)} messages ({n_hate} hate, {len(d) - n_hate} nohate), "
         f"premise capacity L={d.premise_capacity}\n"
@@ -317,12 +318,12 @@ def cmd_encode(args) -> int:
             raise StageOneScoreError(f"cannot decode {args.stage1_scores}: {exc}") from exc
         if not isinstance(by_id, dict):
             raise StageOneScoreError(f"{args.stage1_scores} must hold a JSON object")
-        missing = [m.id for m in d if m.id not in by_id]
+        missing = [msg_id for msg_id in d.ids if msg_id not in by_id]
         if missing:
             raise StageOneScoreError(
                 f"{args.stage1_scores} has no stage-1 score for ids {missing[:5]}"
             )
-        scores = [by_id[m.id] for m in d]
+        scores = [by_id[msg_id] for msg_id in d.ids]
         # JSON true and "0.5" would pass float(); only a JSON number is a score
         bad = [s for s in scores if isinstance(s, bool) or not isinstance(s, (int, float))]
         if bad:

@@ -4,13 +4,21 @@ A message is an ordered list of argument components: one or more premises
 followed by exactly one conclusion. Each component carries a checkworthiness
 label and (for hateful messages) a component-level hatefulness annotation.
 
+A ``Dataset`` is columnar: one label code per message and one role,
+checkworthiness and hatefulness code per component, each the member's index
+in ``LABEL_ORDER``, ``ROLE_ORDER``, ``CW_ORDER`` or ``HATE_ORDER``. Parsing,
+statistics, encoding and the generator read and write these codes;
+``Message`` objects are built only for the API that returns them.
+
 Interchange format: one JSON object per line, UTF-8::
 
     {"id": "...", "label": "hate"|"nohate",
      "components": [{"role": "premise"|"conclusion", "cw": "NFS"|"UFS"|"CFS",
                      "hate": "hate"|"nohate"|null, "text": "..."}]}
 
-``"hate": null`` (or an absent key) means the component is unannotated.
+``"hate": null`` (or an absent key) means the component is unannotated. An id
+is a string or an integer (read as its decimal string), and no two messages
+share one; ``text`` is a string or null.
 """
 
 import io
@@ -23,6 +31,8 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 
 class Checkworthiness(str, Enum):
     """ClaimBuster checkworthiness labels. Canonical one-hot order is (NFS, UFS, CFS)."""
@@ -30,9 +40,6 @@ class Checkworthiness(str, Enum):
     NFS = "NFS"
     UFS = "UFS"
     CFS = "CFS"
-
-
-CW_ORDER = (Checkworthiness.NFS, Checkworthiness.UFS, Checkworthiness.CFS)
 
 
 class ComponentHate(Enum):
@@ -53,6 +60,21 @@ class MessageLabel(str, Enum):
     NON_HATEFUL = "nohate"
 
 
+# a column's code is its member's index in that column's order
+LABEL_ORDER = (MessageLabel.NON_HATEFUL, MessageLabel.HATEFUL)  # 1 = hateful
+ROLE_ORDER = (Role.PREMISE, Role.CONCLUSION)
+CW_ORDER = (Checkworthiness.NFS, Checkworthiness.UFS, Checkworthiness.CFS)
+HATE_ORDER = (ComponentHate.UNANNOTATED, ComponentHate.NON_HATEFUL, ComponentHate.HATEFUL)
+PREMISE, CONCLUSION = 0, 1  # role codes
+UNANNOTATED, HATEFUL = 0, 2  # hate codes
+
+
+_ORDERS = (LABEL_ORDER, ROLE_ORDER, CW_ORDER, HATE_ORDER)
+LABEL_CODES, ROLE_CODES, CW_CODES, HATE_CODES = (
+    {member: i for i, member in enumerate(order)} for order in _ORDERS
+)
+
+
 class DataError(Exception):
     """Input data the toolkit cannot use; the CLI reports it as a data error (exit 2)."""
 
@@ -61,7 +83,8 @@ class ValidationError(DataError):
     """A message violates a structural invariant.
 
     ``code`` identifies the invariant: NO_PREMISE, NO_CONCLUSION,
-    MULTIPLE_CONCLUSIONS, CONCLUSION_NOT_LAST, NON_CONTIGUOUS_POSITIONS.
+    MULTIPLE_CONCLUSIONS, CONCLUSION_NOT_LAST, NON_CONTIGUOUS_POSITIONS, or
+    DUPLICATE_ID (an earlier record of the same dataset has this id).
     """
 
     def __init__(self, code: str, message_id: str, detail: str = ""):
@@ -124,6 +147,34 @@ class Message:
         raise ValidationError("NO_CONCLUSION", self.id)
 
 
+def _check_roles(msg_id, roles: list, positions=None) -> None:
+    """Raise ValidationError unless the role codes ``roles`` lay out a message.
+    ``positions`` is checked when given; a parsed message's are its indices."""
+    n_conclusions = roles.count(CONCLUSION)
+    if not n_conclusions:
+        raise ValidationError("NO_CONCLUSION", msg_id)
+    if n_conclusions > 1:
+        raise ValidationError("MULTIPLE_CONCLUSIONS", msg_id, f"found {n_conclusions}")
+    if len(roles) == 1:
+        raise ValidationError("NO_PREMISE", msg_id)
+    if positions is not None and positions != list(range(len(roles))):
+        raise ValidationError("NON_CONTIGUOUS_POSITIONS", msg_id, f"positions {positions}")
+    if roles[-1] != CONCLUSION:
+        raise ValidationError("CONCLUSION_NOT_LAST", msg_id)
+
+
+def _warn_if_partial(msg_id, label: int, hates: list, stacklevel: int) -> None:
+    """Warn if a hateful message has unannotated components; ``stacklevel``
+    is the warning's, counted from the caller."""
+    if label == LABEL_CODES[MessageLabel.HATEFUL] and UNANNOTATED in hates:
+        warnings.warn(
+            PartialAnnotationWarning(
+                f"hateful message {msg_id!r} has unannotated components (treated as 0)"
+            ),
+            stacklevel=stacklevel + 1,
+        )
+
+
 def validate_message(m: Message) -> None:
     """Raise ValidationError unless ``m`` satisfies all structural invariants.
 
@@ -131,97 +182,160 @@ def validate_message(m: Message) -> None:
     position, contiguous 0-based positions. A hateful message containing
     unannotated components is accepted with a PartialAnnotationWarning.
     """
-    conclusions = [c for c in m.components if c.role is Role.CONCLUSION]
-    premises = [c for c in m.components if c.role is Role.PREMISE]
-    if not conclusions:
-        raise ValidationError("NO_CONCLUSION", m.id)
-    if len(conclusions) > 1:
-        raise ValidationError("MULTIPLE_CONCLUSIONS", m.id, f"found {len(conclusions)}")
-    if not premises:
-        raise ValidationError("NO_PREMISE", m.id)
-    positions = [c.position for c in m.components]
-    if positions != list(range(len(m.components))):
-        raise ValidationError("NON_CONTIGUOUS_POSITIONS", m.id, f"positions {positions}")
-    if m.components[-1].role is not Role.CONCLUSION:
-        raise ValidationError("CONCLUSION_NOT_LAST", m.id)
-    if m.label is MessageLabel.HATEFUL and any(
-        c.hate is ComponentHate.UNANNOTATED for c in m.components
-    ):
-        warnings.warn(
-            PartialAnnotationWarning(
-                f"hateful message {m.id!r} has unannotated components (treated as 0)"
-            ),
-            stacklevel=2,
+    _check_roles(
+        m.id, [ROLE_CODES[c.role] for c in m.components], [c.position for c in m.components]
+    )
+    _warn_if_partial(
+        m.id, LABEL_CODES[m.label], [HATE_CODES[c.hate] for c in m.components], stacklevel=2
+    )
+
+
+_COLUMN_TYPES = {"label": np.int8, "offsets": np.intp, "role": np.int8, "cw": np.int8,
+                 "hate": np.int8}
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """An immutable, columnar collection of validated messages.
+
+    Message i has id ``ids[i]`` and label code ``label[i]`` (1 = hateful).
+    Its components, in order, are rows ``offsets[i]:offsets[i + 1]`` of the
+    component columns: the codes ``role``, ``cw`` and ``hate``, and ``texts``
+    (None where a component has no text). The code columns are read-only
+    int8 arrays. ``from_messages`` builds a dataset from ``Message``
+    objects; ``messages`` builds them back on first use.
+    """
+
+    ids: tuple[str, ...]
+    label: np.ndarray
+    offsets: np.ndarray
+    role: np.ndarray
+    cw: np.ndarray
+    hate: np.ndarray
+    texts: tuple[str | None, ...]
+
+    def __post_init__(self):
+        for name, dtype in _COLUMN_TYPES.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "texts", tuple(self.texts))
+
+    @classmethod
+    def from_messages(cls, messages: Iterable[Message]) -> "Dataset":
+        """Raises ValidationError for a message that is not premises, then one conclusion."""
+        messages = tuple(messages)
+        for m in messages:
+            _check_roles(m.id, [ROLE_CODES[c.role] for c in m.components])
+        components = [c for m in messages for c in m.components]
+        return cls(
+            ids=[m.id for m in messages],
+            label=[LABEL_CODES[m.label] for m in messages],
+            offsets=np.cumsum([0] + [len(m.components) for m in messages]),
+            role=[ROLE_CODES[c.role] for c in components],
+            cw=[CW_CODES[c.cw] for c in components],
+            hate=[HATE_CODES[c.hate] for c in components],
+            texts=[c.text for c in components],
         )
 
-
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable collection of validated messages."""
-
-    messages: tuple[Message, ...]
-
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self.messages)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.ids, self.texts) == (other.ids, other.texts) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMN_TYPES
+        )
+
+    @cached_property
+    def messages(self) -> tuple[Message, ...]:
+        roles = [ROLE_ORDER[code] for code in self.role.tolist()]
+        cws = [CW_ORDER[code] for code in self.cw.tolist()]
+        hates = [HATE_ORDER[code] for code in self.hate.tolist()]
+        offsets = self.offsets.tolist()
+        return tuple(
+            Message(
+                msg_id,
+                tuple(
+                    ArgComponent(roles[j], j - start, cws[j], hates[j], self.texts[j])
+                    for j in range(start, end)
+                ),
+                LABEL_ORDER[label],
+            )
+            for msg_id, label, start, end in zip(
+                self.ids, self.label.tolist(), offsets, offsets[1:]
+            )
+        )
+
+    @cached_property
+    def message_of(self) -> np.ndarray:
+        """Each component's message index."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    @cached_property
+    def premise_counts(self) -> np.ndarray:
+        return np.bincount(self.message_of[self.role == PREMISE], minlength=len(self))
+
     @cached_property
     def premise_capacity(self) -> int:
         """Slot capacity L: the maximum premise count over all messages."""
-        return max(m.premise_count for m in self.messages)
+        return int(self.premise_counts.max())
 
     @cached_property
     def class_counts(self) -> dict[MessageLabel, int]:
-        counts = {MessageLabel.HATEFUL: 0, MessageLabel.NON_HATEFUL: 0}
-        for m in self.messages:
-            counts[m.label] += 1
-        return counts
+        hateful = int(np.count_nonzero(self.label))
+        return {MessageLabel.HATEFUL: hateful, MessageLabel.NON_HATEFUL: len(self) - hateful}
 
     def labels(self) -> list[int]:
         """Binary gold labels, 1 = hateful."""
-        return [1 if m.label is MessageLabel.HATEFUL else 0 for m in self.messages]
+        return self.label.tolist()
 
 
-def message_from_dict(record: dict, line_no: int = 0) -> Message:
+def _code(codes: dict, enum: type[Enum], value) -> int:
+    """The code of ``enum(value)``: a dict lookup, or the enum's own error."""
     try:
-        msg_id = str(record["id"])
-        label = MessageLabel(record["label"])
+        return codes[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        return codes[enum(value).value]
+
+
+_LABEL_VALUES, _ROLE_VALUES, _CW_VALUES, _HATE_VALUES = (
+    {member.value: i for i, member in enumerate(order)} for order in _ORDERS
+)
+
+
+def _record_codes(record: dict, line_no: int):
+    """One decoded record as (id, label code, roles, cws, hates, texts)."""
+    try:
+        msg_id = record["id"]
+        if isinstance(msg_id, bool) or not isinstance(msg_id, (str, int)):
+            raise TypeError(f"id must be a string or an integer, not {type(msg_id).__name__}")
+        msg_id = str(msg_id)
+        label = _code(_LABEL_VALUES, MessageLabel, record["label"])
         raw_components = record["components"]
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedRecordError(line_no, f"bad record: {exc!r}") from exc
     if not isinstance(raw_components, list):
         raise MalformedRecordError(line_no, "components must be a list")
-    components = []
+    roles, cws, hates, texts = [], [], [], []
     for pos, raw in enumerate(raw_components):
         try:
-            hate_raw = raw.get("hate")
-            component = ArgComponent(
-                role=Role(raw["role"]),
-                position=pos,
-                cw=Checkworthiness(raw["cw"]),
-                hate=ComponentHate.UNANNOTATED if hate_raw is None else ComponentHate(hate_raw),
-                text=raw.get("text"),
-            )
+            hate = raw.get("hate")
+            roles.append(_code(_ROLE_VALUES, Role, raw["role"]))
+            cws.append(_code(_CW_VALUES, Checkworthiness, raw["cw"]))
+            hates.append(UNANNOTATED if hate is None else _code(_HATE_VALUES, ComponentHate, hate))
+            text = raw.get("text")
+            if not (text is None or isinstance(text, str)):
+                raise TypeError(f"text must be a string or null, not {type(text).__name__}")
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedRecordError(line_no, f"bad component {pos}: {exc!r}") from exc
-        components.append(component)
-    return Message(id=msg_id, components=tuple(components), label=label)
-
-
-def message_to_dict(m: Message) -> dict:
-    components = []
-    for c in m.components:
-        entry: dict = {
-            "role": c.role.value,
-            "cw": c.cw.value,
-            "hate": None if c.hate is ComponentHate.UNANNOTATED else c.hate.value,
-        }
-        if c.text is not None:
-            entry["text"] = c.text
-        components.append(entry)
-    return {"id": m.id, "label": m.label.value, "components": components}
+        texts.append(text)
+    return msg_id, label, roles, cws, hates, texts
 
 
 @dataclass(frozen=True)
@@ -257,10 +371,13 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
     ``source`` may be a path, bytes, or an iterable of lines. In strict mode
     the first malformed or invalid record raises; in lenient mode such records
     are skipped and reported in ``ParseResult.skipped``; a line that is not
-    UTF-8 is malformed. Blank lines are ignored. Raises EmptyDatasetError
-    when no valid message remains.
+    UTF-8 is malformed, and so is a record whose id an earlier record has.
+    Blank lines are ignored. Raises EmptyDatasetError when no valid message
+    remains.
     """
-    messages: list[Message] = []
+    columns = {name: [] for name in ("label", "role", "cw", "hate", "texts")}
+    lines_of: dict[str, int] = {}  # each accepted id's line
+    sizes: list[int] = []
     skipped: list[RecordIssue] = []
     for line_no, line in enumerate(_iter_lines(source), start=1):
         try:
@@ -276,17 +393,29 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")
-            message = message_from_dict(record, line_no)
-            validate_message(message)
+            msg_id, label, roles, cws, hates, texts = _record_codes(record, line_no)
+            _check_roles(msg_id, roles)
+            if msg_id in lines_of:
+                raise ValidationError(
+                    "DUPLICATE_ID", msg_id, f"line {lines_of[msg_id]} has the same id"
+                )
+            _warn_if_partial(msg_id, label, hates, stacklevel=1)
         except (MalformedRecordError, ValidationError) as exc:
             if strict:
                 raise
             skipped.append(RecordIssue(line_no, exc))
             continue
-        messages.append(message)
-    if not messages:
+        lines_of[msg_id] = line_no
+        sizes.append(len(roles))
+        columns["label"].append(label)
+        columns["role"] += roles
+        columns["cw"] += cws
+        columns["hate"] += hates
+        columns["texts"] += texts
+    if not sizes:
         raise EmptyDatasetError("no valid messages in input", tuple(skipped))
-    return ParseResult(Dataset(tuple(messages)), tuple(skipped))
+    dataset = Dataset(ids=tuple(lines_of), offsets=np.cumsum([0] + sizes), **columns)
+    return ParseResult(dataset, tuple(skipped))
 
 
 def load_dataset(path, strict: bool = True) -> Dataset:
@@ -294,7 +423,25 @@ def load_dataset(path, strict: bool = True) -> Dataset:
 
 
 def dataset_to_jsonl(d: Dataset) -> str:
-    return "".join(json.dumps(message_to_dict(m), ensure_ascii=False) + "\n" for m in d.messages)
+    """``d`` in the interchange format, one ``json.dumps`` record per message."""
+    roles = [role.value for role in ROLE_ORDER]
+    cws = [cw.value for cw in CW_ORDER]
+    hates = [None if hate is ComponentHate.UNANNOTATED else hate.value for hate in HATE_ORDER]
+    components = []
+    for role, cw, hate, text in zip(d.role.tolist(), d.cw.tolist(), d.hate.tolist(), d.texts):
+        entry = {"role": roles[role], "cw": cws[cw], "hate": hates[hate]}
+        if text is not None:
+            entry["text"] = text
+        components.append(entry)
+    offsets = d.offsets.tolist()
+    return "".join(
+        json.dumps(
+            {"id": msg_id, "label": LABEL_ORDER[label].value,
+             "components": components[start:end]},
+            ensure_ascii=False,
+        ) + "\n"
+        for msg_id, label, start, end in zip(d.ids, d.label.tolist(), offsets, offsets[1:])
+    )
 
 
 def write_dataset(d: Dataset, path) -> None:
@@ -312,7 +459,7 @@ class StatsReport:
     class_counts: dict = field(repr=False)
     premise_mean: dict = field(repr=False)   # per MessageLabel
     premise_std: dict = field(repr=False)    # population std, per MessageLabel
-    cells: dict = field(repr=False)          # (label, role, cw, hate) -> count
+    cells: dict = field(repr=False)          # (label, role, cw, hate) -> count, nonzero only
     cw_totals: dict = field(repr=False)      # cw -> count over all components
 
     def to_dict(self) -> dict:
@@ -375,34 +522,33 @@ class StatsReport:
 
 def dataset_stats(d: Dataset) -> StatsReport:
     """Compute corpus statistics. Raises EmptyDatasetError on an empty dataset."""
-    if not d.messages:
+    if not len(d):
         raise EmptyDatasetError("cannot compute statistics of an empty dataset")
-    cells: dict = {}
-    cw_totals = {cw: 0 for cw in CW_ORDER}
-    premise_counts: dict = {MessageLabel.HATEFUL: [], MessageLabel.NON_HATEFUL: []}
-    n_components = 0
-    for m in d.messages:
-        premise_counts[m.label].append(m.premise_count)
-        for c in m.components:
-            n_components += 1
-            key = (m.label, c.role, c.cw, c.hate)
-            cells[key] = cells.get(key, 0) + 1
-            cw_totals[c.cw] += 1
+    shape = (len(LABEL_ORDER), len(ROLE_ORDER), len(CW_ORDER), len(HATE_ORDER))
+    cell = np.ravel_multi_index((d.label[d.message_of], d.role, d.cw, d.hate), shape)
+    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+    cells = {
+        (LABEL_ORDER[l], ROLE_ORDER[r], CW_ORDER[c], HATE_ORDER[h]): int(counts[l, r, c, h])
+        for l, r, c, h in zip(*np.nonzero(counts))
+    }
     mean: dict = {}
     std: dict = {}
-    for label, counts in premise_counts.items():
-        if not counts:
+    for label in (MessageLabel.HATEFUL, MessageLabel.NON_HATEFUL):
+        # Python sums, in message order: np.sum is pairwise, and numpy's
+        # ** 2 and C pow differ in the last bit of some values
+        counts_of = d.premise_counts[d.label == LABEL_CODES[label]].tolist()
+        if not counts_of:
             continue
-        mu = sum(counts) / len(counts)
+        mu = sum(counts_of) / len(counts_of)
         mean[label] = mu
-        std[label] = math.sqrt(sum((c - mu) ** 2 for c in counts) / len(counts))
+        std[label] = math.sqrt(sum((c - mu) ** 2 for c in counts_of) / len(counts_of))
     return StatsReport(
-        n_messages=len(d.messages),
-        n_components=n_components,
+        n_messages=len(d),
+        n_components=len(d.role),
         premise_capacity=d.premise_capacity,
         class_counts=dict(d.class_counts),
         premise_mean=mean,
         premise_std=std,
         cells=cells,
-        cw_totals=cw_totals,
+        cw_totals=dict(zip(CW_ORDER, counts.sum(axis=(0, 1, 3)).tolist())),
     )

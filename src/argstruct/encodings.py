@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CW_ORDER, ComponentHate, DataError, Dataset, Message
+from .data import CONCLUSION, CW_ORDER, HATEFUL, DataError, Dataset, Message
 
 
 class _Layout(NamedTuple):
@@ -48,9 +48,6 @@ _STAGE_ONE: dict[str, str] = {
     "arg-str-c-given-p": "arg-str-p",
     "arg-str-c-given-p-cw": "arg-str-p-cw",
 }
-
-_CW_INDEX = {cw: i for i, cw in enumerate(CW_ORDER)}
-
 
 class PremiseOverflowError(DataError):
     def __init__(self, message_id: str, count: int, capacity: int):
@@ -154,19 +151,26 @@ def encode_dataset(
         blocks.append(scores[:, None])
     elif stage1_scores is not None:
         raise UnexpectedStageOneScoreError(f"{spec.family} does not take stage-1 scores")
-    # each slot's cw index (-1: empty) and hatefulness; the two-stage
-    # families encode no premise slot, so their premises are never read
+    # each slot's cw index (-1: empty) and hatefulness; a premise fills the
+    # slot of its rank among its message's premises, the conclusion slot L.
+    # The two-stage families encode no premise slot, so their premises are
+    # never read.
     cw = np.full((n, L + 1), -1)
     hate = np.zeros((n, L + 1), dtype=bool)
-    for i, m in enumerate(d.messages):
-        premises = () if lay.two_stage else m.premises
-        if len(premises) > L:
-            if not truncate:
-                raise PremiseOverflowError(m.id, len(premises), L)
-            premises = premises[:L]
-        for slot, c in (*enumerate(premises), (L, m.conclusion)):
-            cw[i, slot] = _CW_INDEX[c.cw]
-            hate[i, slot] = c.hate is ComponentHate.HATEFUL
+    placed = d.role == CONCLUSION
+    slot = np.full(len(placed), L)
+    if not lay.two_stage:
+        counts = d.premise_counts
+        over = np.flatnonzero(counts > L)
+        if len(over) and not truncate:
+            raise PremiseOverflowError(d.ids[over[0]], int(counts[over[0]]), L)
+        premise = ~placed
+        before = np.concatenate(([0], np.cumsum(premise)))  # premises before each component
+        slot[premise] = (before[:-1] - before[d.offsets[:-1]][d.message_of])[premise]
+        placed |= premise & (slot < L)
+    rows, slots = d.message_of[placed], slot[placed]
+    cw[rows, slots] = d.cw[placed]
+    hate[rows, slots] = d.hate[placed] == HATEFUL
     encoded = cw[:, spec.slots]
     blocks.append(encoded >= 0)
     if lay.cw:
@@ -186,4 +190,4 @@ def encode(
 ) -> np.ndarray:
     """Encode one message under ``spec``: the one-row ``encode_dataset``."""
     scores = None if stage1_score is None else [stage1_score]
-    return encode_dataset(Dataset((m,)), spec, scores, truncate)[0]
+    return encode_dataset(Dataset.from_messages((m,)), spec, scores, truncate)[0]

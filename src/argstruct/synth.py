@@ -20,13 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    ArgComponent,
+    CONCLUSION,
+    CW_CODES,
+    HATE_CODES,
+    HATEFUL,
+    LABEL_CODES,
     Checkworthiness,
     ComponentHate,
     Dataset,
-    Message,
     MessageLabel,
-    Role,
+    PREMISE,
 )
 
 # WSF-ARG+ component-label counts, keyed (cw, component hate), per message
@@ -111,38 +114,15 @@ def _premise_counts(rng, n, mean, std, cap):
     return np.clip(np.rint(rng.normal(mean, std, n)), 1, cap).astype(int)
 
 
-def _weighted_choice(rng, weights: dict, size: int) -> list:
+def _weighted_choice(rng, weights: dict, size: int) -> np.ndarray:
+    """The (cw, hate) codes of ``size`` draws of the keys of ``weights``; a
+    key that is a checkworthiness alone is unannotated."""
     keys = list(weights.keys())
     w = np.array([weights[k] for k in keys], dtype=float)
     draws = rng.choice(len(keys), size=size, p=w / w.sum())
-    return [keys[i] for i in draws]
-
-
-def _build_message(msg_id, label, premise_labels, conclusion_label) -> Message:
-    components = [
-        ArgComponent(role=Role.PREMISE, position=i, cw=cw, hate=hate)
-        for i, (cw, hate) in enumerate(premise_labels)
-    ]
-    cw, hate = conclusion_label
-    components.append(
-        ArgComponent(
-            role=Role.CONCLUSION, position=len(components), cw=cw, hate=hate
-        )
-    )
-    return Message(id=msg_id, components=tuple(components), label=label)
-
-
-def _force_hateful_component(rng, premise_labels, conclusion_label):
-    if any(h is ComponentHate.HATEFUL for _, h in premise_labels) or (
-        conclusion_label[1] is ComponentHate.HATEFUL
-    ):
-        return premise_labels, conclusion_label
-    pick = int(rng.integers(0, len(premise_labels) + 1))
-    if pick == len(premise_labels):
-        conclusion_label = (conclusion_label[0], ComponentHate.HATEFUL)
-    else:
-        premise_labels[pick] = (premise_labels[pick][0], ComponentHate.HATEFUL)
-    return premise_labels, conclusion_label
+    codes = [(CW_CODES[k[0]], HATE_CODES[k[1]]) if isinstance(k, tuple) else (CW_CODES[k], 0)
+             for k in keys]
+    return np.array(codes, dtype=np.int8).reshape(-1, 2)[draws]
 
 
 def _collapse_cw(weights: dict) -> dict:
@@ -152,15 +132,12 @@ def _collapse_cw(weights: dict) -> dict:
     return out
 
 
-def _per_message(draws: list, counts) -> list[list]:
-    """Split one flat list of component draws into per-message lists."""
-    ends = np.cumsum(counts)
-    return [list(draws[end - k : end]) for end, k in zip(ends, counts)]
-
-
 def generate(cfg: GeneratorConfig) -> Dataset:
     """Generate a dataset per ``cfg``; deterministic per seed, and every
-    produced message satisfies the structural invariants."""
+    produced message satisfies the structural invariants.
+
+    The hateful messages come first, then the non-hateful ones; each message
+    lists its premises, then its conclusion."""
     rng = np.random.default_rng(cfg.seed)
     k_hate = _premise_counts(
         rng, cfg.n_hateful, cfg.hateful_premise_mean, cfg.hateful_premise_std,
@@ -175,27 +152,40 @@ def generate(cfg: GeneratorConfig) -> Dataset:
     if separable:  # draw checkworthiness only; the hate labels are planted below
         premise_weights = _collapse_cw(premise_weights)
         conclusion_weights = _collapse_cw(conclusion_weights)
-    premises = _weighted_choice(rng, premise_weights, int(k_hate.sum()))
-    conclusions = _weighted_choice(rng, conclusion_weights, len(k_hate))
-    nh_premise_cw = _weighted_choice(rng, NON_HATEFUL_PREMISE_CW_WEIGHTS, int(k_nonhate.sum()))
-    nh_conclusion_cw = _weighted_choice(rng, NON_HATEFUL_CONCLUSION_CW_WEIGHTS, len(k_nonhate))
-    messages = []
-    for i, (labels, conclusion) in enumerate(zip(_per_message(premises, k_hate), conclusions)):
-        if separable:
-            bits = rng.random(len(labels)) < 0.5
-            labels = [
-                (cw, ComponentHate.HATEFUL if bit else ComponentHate.NON_HATEFUL)
-                for cw, bit in zip(labels, bits)
-            ]
-            # the hateful conclusion is the planted, stump-separable signal
-            conclusion = (conclusion, ComponentHate.HATEFUL)
-        elif cfg.ensure_hateful_component:
-            labels, conclusion = _force_hateful_component(rng, labels, conclusion)
-        messages.append(_build_message(f"h{i:05d}", MessageLabel.HATEFUL, labels, conclusion))
-    unannotated = ComponentHate.UNANNOTATED
-    for i, (cws, cw) in enumerate(zip(_per_message(nh_premise_cw, k_nonhate), nh_conclusion_cw)):
-        labels = [(premise_cw, unannotated) for premise_cw in cws]
-        messages.append(
-            _build_message(f"n{i:05d}", MessageLabel.NON_HATEFUL, labels, (cw, unannotated))
-        )
-    return Dataset(tuple(messages))
+    k = np.concatenate([k_hate, k_nonhate])
+    offsets = np.concatenate(([0], np.cumsum(k + 1)))
+    conclusion = np.zeros(offsets[-1], dtype=bool)
+    conclusion[offsets[1:] - 1] = True
+    n_h = len(k_hate)
+    hateful = np.arange(offsets[-1]) < offsets[n_h]  # the hateful messages' components
+    codes = np.empty((offsets[-1], 2), dtype=np.int8)  # (cw, hate) per component
+    for rows, weights in (
+        (hateful & ~conclusion, premise_weights),
+        (hateful & conclusion, conclusion_weights),
+        (~hateful & ~conclusion, NON_HATEFUL_PREMISE_CW_WEIGHTS),
+        (~hateful & conclusion, NON_HATEFUL_CONCLUSION_CW_WEIGHTS),
+    ):
+        codes[rows] = _weighted_choice(rng, weights, int(np.count_nonzero(rows)))
+    hate = codes[:, 1]
+    if separable:
+        # one uniform draw per premise, in message order; the hateful
+        # conclusion is the planted, stump-separable signal
+        bits = rng.random(int(k_hate.sum())) < 0.5
+        hate[hateful & ~conclusion] = np.where(bits, HATEFUL, HATE_CODES[ComponentHate.NON_HATEFUL])
+        hate[hateful & conclusion] = HATEFUL
+    elif cfg.ensure_hateful_component:
+        # a hateful message without a hateful component gets one, drawn in message order
+        has_hateful = np.logical_or.reduceat(hate[hateful] == HATEFUL, offsets[:n_h])
+        for i in np.flatnonzero(~has_hateful):
+            hate[offsets[i] + int(rng.integers(0, int(k_hate[i]) + 1))] = HATEFUL
+    label = np.zeros(len(k), dtype=np.int8)
+    label[:n_h] = LABEL_CODES[MessageLabel.HATEFUL]
+    return Dataset(
+        ids=[f"h{i:05d}" for i in range(n_h)] + [f"n{i:05d}" for i in range(len(k_nonhate))],
+        label=label,
+        offsets=offsets,
+        role=np.where(conclusion, CONCLUSION, PREMISE),
+        cw=codes[:, 0],
+        hate=hate,
+        texts=(None,) * int(offsets[-1]),
+    )

@@ -51,7 +51,7 @@ def small_dataset():
             conclusion_hate=ComponentHate.UNANNOTATED,
         ),
     ]
-    return Dataset(tuple(messages))
+    return Dataset.from_messages(messages)
 
 
 @pytest.fixture(scope="session")

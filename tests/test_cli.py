@@ -313,6 +313,25 @@ def test_validate_surfaces_partial_annotation_warning(tmp_path, capsys):
 
 _RUN = ["run", "--dataset", "{data}"]
 
+_GOOD = {
+    "id": "a",
+    "label": "hate",
+    "components": [
+        {"role": "premise", "cw": "CFS", "hate": "nohate"},
+        {"role": "conclusion", "cw": "CFS", "hate": "hate"},
+    ],
+}
+_TEXT = {"role": "premise", "cw": "NFS", "hate": "hate"}
+# dataset files, by name, whose records do not round-trip or repeat an id
+_BAD_RECORDS = {
+    "null_id": [dict(_GOOD, id=None)],
+    "bool_id": [dict(_GOOD, id=True)],
+    "float_id": [dict(_GOOD, id=1.5)],
+    "int_text": [dict(_GOOD, components=[dict(_TEXT, text=5), _GOOD["components"][1]])],
+    "list_text": [dict(_GOOD, components=[dict(_TEXT, text=[1]), _GOOD["components"][1]])],
+    "duplicate_id": [_GOOD, dict(_GOOD, label="nohate")],
+}
+
 
 @pytest.mark.parametrize(
     "argv, config, code, prefix",
@@ -360,6 +379,42 @@ _RUN = ["run", "--dataset", "{data}"]
             ["stats", "--dataset", "{not_utf8}"], None, 2, "data error: line 1:",
             id="stats-not-utf8",
         ),
+        pytest.param(
+            ["validate", "--dataset", "{null_id}"], None, 2, "invalid record at line 1:",
+            id="validate-null-id",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{null_id}"], None, 2, "data error: line 1:",
+            id="stats-null-id",
+        ),
+        pytest.param(
+            ["validate", "--dataset", "{bool_id}"], None, 2, "invalid record at line 1:",
+            id="validate-bool-id",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{float_id}"], None, 2, "data error: line 1:",
+            id="stats-float-id",
+        ),
+        pytest.param(
+            ["validate", "--dataset", "{int_text}"], None, 2, "invalid record at line 1:",
+            id="validate-int-text",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{list_text}"], None, 2, "data error: line 1:",
+            id="stats-list-text",
+        ),
+        pytest.param(
+            ["validate", "--dataset", "{duplicate_id}"], None, 2,
+            "invalid record at line 2: DUPLICATE_ID", id="validate-duplicate-id",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{duplicate_id}"], None, 2, "data error: DUPLICATE_ID",
+            id="stats-duplicate-id",
+        ),
+        pytest.param(
+            ["encode", "--dataset", "{duplicate_id}", "--encoding", "arg-str"], None, 2,
+            "data error: DUPLICATE_ID", id="encode-duplicate-id",
+        ),
     ],
 )
 def test_bad_input_exits_with_documented_code(
@@ -367,7 +422,11 @@ def test_bad_input_exits_with_documented_code(
 ):
     not_utf8 = tmp_path / "not_utf8.jsonl"
     not_utf8.write_bytes(b"\xff\xfe" + dataset_file.read_bytes())
-    argv = [a.format(data=dataset_file, not_utf8=not_utf8) for a in argv]
+    files = {"data": dataset_file, "not_utf8": not_utf8}
+    for name, lines in _BAD_RECORDS.items():
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    argv = [a.format(**files) for a in argv]
     if config is not None:
         path = tmp_path / "run.json"
         small = {"encodings": "arg-str", "models": "lgr", "k": 2, "jobs": 1}

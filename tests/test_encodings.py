@@ -274,7 +274,7 @@ def test_encode_dataset_matches_oracle(family, messages, slack, truncate, kind, 
     """Bytes, dtype, C order and raised error type equal the per-message
     encoder's, with L below, at and above the largest premise count, and
     with no scores, valid scores, one bad score or a wrong score count."""
-    d = Dataset(tuple(messages))
+    d = Dataset.from_messages(messages)
     spec = EncodingSpec(family, max(1, d.premise_capacity + slack))
     scores = kind and pool[: len(d) - (kind == "short")]
     if kind == "bad":

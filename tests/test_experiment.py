@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import argstruct.experiment as experiment
 from argstruct.data import Dataset
@@ -307,7 +309,7 @@ def test_cell_error_in_pool_propagates_unchanged(tiny_dataset, monkeypatch, caps
 def test_single_class_dataset_fails_at_split():
     messages = tuple(make_message(f"h{i}", 2) for i in range(10))
     with pytest.raises(ClassTooSmallError):
-        run_grid(Dataset(messages), ExperimentConfig(models=(ModelSpec("lgr"),)))
+        run_grid(Dataset.from_messages(messages), ExperimentConfig(models=(ModelSpec("lgr"),)))
 
 
 def test_separable_learning_quick(separable_dataset):
@@ -450,3 +452,62 @@ def test_unknown_format_rejected(tiny_dataset):
     report = run_grid(tiny_dataset, cfg)
     with pytest.raises(UnknownFormatError):
         emit_report(report, "xml")
+
+
+class _RowIdModel:
+    """A stage-1 model over row ids (column 0): it records the rows it is
+    fitted on and the rows it scores, and scores 1.0 exactly the rows it was
+    fitted on."""
+
+    def __init__(self, X):
+        self.fitted_on = set(X[:, 0].tolist())
+        self.scored = []
+
+    def predict_score(self, X):
+        rows = X[:, 0].tolist()
+        self.scored += rows
+        return np.array([float(row in self.fitted_on) for row in rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    seed=st.integers(0, 10 ** 6),
+    extra=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    inner_cv=st.booleans(),
+    hard_stage1=st.booleans(),
+)
+def test_inner_cv_never_scores_a_row_with_a_model_fitted_on_it(
+    k, seed, extra, inner_cv, hard_stage1
+):
+    """With inner CV, no stage-2 training row's stage-1 score comes from a
+    model fitted on that row, and each is scored once per fold; the
+    in-sample default scores every one of them with such a model."""
+    n_hateful, n_nonhateful = (k * k + 1 + e for e in extra)
+    dataset = generate(GeneratorConfig(mode="table1", n_hateful=n_hateful,
+                                       n_nonhateful=n_nonhateful, seed=seed))
+    X1 = np.arange(len(dataset), dtype=float)[:, None]
+    y = np.asarray(dataset.labels(), dtype=float)
+    folds = stratified_kfold(dataset.labels(), k, seed)
+    calls = []
+
+    def fit_each(spec, problems):
+        calls.append([_RowIdModel(X) for X, _ in problems])
+        return calls[-1]
+
+    enc = EncodingSpec("arg-str-c-given-p", dataset.premise_capacity)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "fit_each", fit_each)
+        designs = experiment._stage2_designs(
+            dataset, enc, ModelSpec("lgr"), X1, y, folds, inner_cv, hard_stage1, seed, None
+        )
+    assert len(calls) == 1 + k * inner_cv
+    for fold, design in enumerate(designs):
+        train, test = folds.train_indices(fold), folds.test_indices(fold)
+        assert not design[test, 0].any()
+        assert (design[train, 0] == (not inner_cv)).all()
+        if inner_cv:
+            inner = calls[1 + fold]
+            assert sorted(row for m in inner for row in m.scored) == sorted(train.tolist())
+    for model in (m for batch in calls[1:] for m in batch):
+        assert model.fitted_on.isdisjoint(model.scored)

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argstruct.data import ComponentHate, MessageLabel, validate_message
+from argstruct.data import ComponentHate, MessageLabel, dataset_to_jsonl, validate_message
 from argstruct.synth import GeneratorConfig, InvalidConfigError, generate
 
 
@@ -107,3 +109,30 @@ def test_generation_always_valid(seed, mode):
     for m in d:
         validate_message(m)
     assert d.premise_capacity >= 1
+
+
+# sha256 of dataset_to_jsonl(generate(cfg)) for 60 hateful and 40 non-hateful
+# messages, computed with the object-per-message generator and serializer;
+# ensure_hateful_component is ignored in separable mode
+_GENERATOR_DIGESTS = {
+    ("table1", False, 0): "4690bad4463767a3bf0227f7ba4673b250ae6331e1c6f8ef2e2762f2074fe525",
+    ("table1", False, 7): "6048020e7a5636f3c30573b316a8933133adff58d86059c5a8aa31b834b46469",
+    ("table1", False, 501): "9940c9050f33f419d909f116ea7b6c2dd9d8001ee40112401a23fd5103620765",
+    ("table1", True, 0): "43c3877629113e0ae0f42262b838b2c8020738185e22d7ccc5202bc414b45623",
+    ("table1", True, 7): "fd6585eda02ab740694e1cc9e2bcd9b48038233859333ac6316fddb57dddb0b6",
+    ("table1", True, 501): "dc14c5c72aea40894b94cb280ebd7230f5a64a33770566abf5e728da37a42f1c",
+    ("separable", False, 0): "27a91a9e5de01297eb8e52840bb2a461a6120222c46d07a854f75ca9d7ce7c7b",
+    ("separable", False, 7): "2aba163f74ed034ebb7c597e600a12ba0026091862c3a3308517bfdcf4a1b64c",
+    ("separable", False, 501): "2dd7d32d022dc9e7c5f56327a467811183baff23e278b19567ced56c3034d29f",
+    ("separable", True, 0): "27a91a9e5de01297eb8e52840bb2a461a6120222c46d07a854f75ca9d7ce7c7b",
+    ("separable", True, 7): "2aba163f74ed034ebb7c597e600a12ba0026091862c3a3308517bfdcf4a1b64c",
+    ("separable", True, 501): "2dd7d32d022dc9e7c5f56327a467811183baff23e278b19567ced56c3034d29f",
+}
+
+
+@pytest.mark.parametrize("mode, ensure, seed", sorted(_GENERATOR_DIGESTS))
+def test_generated_bytes_are_pinned(mode, ensure, seed):
+    cfg = GeneratorConfig(mode=mode, n_hateful=60, n_nonhateful=40, seed=seed,
+                          ensure_hateful_component=ensure)
+    digest = hashlib.sha256(dataset_to_jsonl(generate(cfg)).encode("utf-8")).hexdigest()
+    assert digest == _GENERATOR_DIGESTS[mode, ensure, seed]
