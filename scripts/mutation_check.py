@@ -37,6 +37,7 @@ class Mutation(NamedTuple):
 
 
 _TREE = "src/argstruct/models/tree.py"
+_FOREST = "src/argstruct/models/forest.py"
 _LINEAR = "src/argstruct/models/linear.py"
 _DATA = "src/argstruct/data.py"
 _ENCODINGS = "src/argstruct/encodings.py"
@@ -53,9 +54,37 @@ MUTATIONS = (
     Mutation(
         "gbt-gather-layout",
         _TREE,
-        "TR[i, cs] = wt @ X[rows[r]][:, cs]",
-        "TR[i, cs] = wt @ X[rows[r][:, None], cs]",
+        "TR[i, cs] = wt @ X[b][rows[r]][:, cs]",
+        "TR[i, cs] = wt @ X[b][rows[r][:, None], cs]",
         ("tests/test_tree_builder.py::test_fit_each_matches_recursive_builder_on_corpus_folds",),
+    ),
+    Mutation(
+        "block-gather-wrong-block",
+        _TREE,
+        "return A[0] if len(A) == 1 else A[block]",
+        "return A[0] if len(A) == 1 else A[block[::-1]]",
+        ("tests/test_tree_builder.py::test_batched_gbt_on_unequal_blocks_matches_single_fits",),
+    ),
+    Mutation(
+        "block-padding-weighted",
+        _TREE,
+        "padded = np.zeros((len(arrays), max(self.sizes)) + np.shape(arrays[0])[1:])",
+        "padded = np.ones((len(arrays), max(self.sizes)) + np.shape(arrays[0])[1:])",
+        ("tests/test_tree_builder.py::test_batched_gbt_on_unequal_blocks_matches_single_fits",),
+    ),
+    Mutation(
+        "forest-draw-no-run-offset",
+        _FOREST,
+        "            pick += start\n",
+        "",
+        ("tests/test_tree_builder.py::test_forest_matches_recursive_builder_on_corpus_folds",),
+    ),
+    Mutation(
+        "forest-draw-drops-single-candidates",
+        _FOREST,
+        "chosen = [starts[counts == 1]]",
+        "chosen = [starts[:0]]",
+        ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
     ),
     Mutation(
         "distinct-rows-key-order",

@@ -391,6 +391,8 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # an integer past CPython's int-string digit limit
+                raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")
             msg_id, label, roles, cws, hates, texts = _record_codes(record, line_no)

@@ -4,13 +4,16 @@ Newton-step leaf values, shrinkage on every round).
 
 Rounds are sequential, but separate problems (the folds of a cell) are not,
 so ``fit_gbt`` boosts a batch of problems of one width together. Their unique
-rows are stacked in blocks, and each round grows every problem's tree in one
-``grow_trees`` call: tree i weights only block i, with its counts or its
-round's subsample, and ``grow_trees`` takes a node's float sums over that
-node's own rows in row order. Block i then takes its rows' leaf values from
-tree i. So each model is bitwise the one a batch of one gives, and a round's
-fixed per-step cost is shared by all problems. The models of a batch share
-one set of node arrays, each holding the roots of its own trees.
+rows form ``Blocks``, one block per problem padded with zero-weight rows to
+the largest, built once per batch together with the column state every round
+reads. Each round grows every problem's tree in one ``grow_trees`` call: tree
+i weights only block i, with its counts or its round's subsample, and a
+node's weight row, targets and sorted columns span that block alone.
+``grow_trees`` takes a node's float sums over that node's own rows in row
+order, and so does each leaf's Newton step, so each model is bitwise the one
+a batch of one gives. Block i then takes its rows' leaf values from tree i
+alone. The models of a batch share one set of node arrays, each holding the
+roots of its own trees.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import Classifier, dedup_rows
 from .linear import sigmoid
-from .tree import Trees, distinct_rows, grow_trees, node_slices, sse_gain
+from .tree import Blocks, Trees, distinct_rows, grow_trees, node_slices, sse_gain
 
 
 @dataclass(frozen=True)
@@ -38,52 +41,59 @@ class GradientBoostedModel(Classifier):
         return sigmoid(F)[inverse]
 
 
+def _own_leaf_values(trees, X):
+    """values[i, r]: the value of the leaf tree i sends row r of its block X[i] to."""
+    node = np.repeat(trees.roots[:, None], X.shape[1], axis=1)
+    block = np.arange(len(X))[:, None]
+    rows = np.arange(X.shape[1])
+    while True:
+        f = trees.feature[node]
+        if (f < 0).all():
+            return trees.value[node]
+        # leaves read column -1 and stay where they are
+        go_left = X[block, rows, f] <= trees.threshold[node]
+        node = np.where(go_left, trees.left[node], trees.right[node])
+
+
 def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
     """One model per checked (X, y) problem; all problems share a width."""
     k = len(problems)
     deduped = [dedup_rows(X, y) for X, y in problems]
-    sizes = [len(unique) for unique, _, _, _ in deduped]
-    blocks = np.cumsum([0] + sizes)
-    stacked = np.vstack([unique for unique, _, _, _ in deduped])
-    y_u = np.concatenate([y for _, y, _, _ in deduped])
-    block = np.repeat(np.arange(k), sizes)  # the problem of each stacked row
-    rows = np.arange(len(stacked))
-    counts = np.zeros((k, len(stacked)))
-    counts[block, rows] = np.concatenate([c for _, _, c, _ in deduped])
+    blocks = Blocks([unique for unique, _, _, _ in deduped])
+    y_u = blocks.pad([y for _, y, _, _ in deduped])
+    counts = blocks.pad([c for _, _, c, _ in deduped])  # 0 exactly on the padding rows
     bases = []
     for (X, _), (_, y, c, _) in zip(problems, deduped):
         p0 = float((c @ y) / len(X))
         bases.append(float(np.log(p0 / (1.0 - p0))))
-    F = np.repeat(bases, sizes)
+    F = np.repeat(np.array(bases)[:, None], counts.shape[1], axis=1)
     rounds = []
     for r in range(spec.tree_count):
         p = sigmoid(F)
-        grad = y_u - p  # negative log-loss gradient
+        grad = np.where(counts > 0, y_u - p, 0.0)  # negative log-loss gradient, 0 on padding
         hess = p * (1.0 - p)
 
-        def leaf_fn(W, grad=grad, hess=hess):
+        def leaf_fn(W, block, grad=grad, hess=hess):
             # Newton step over each leaf's own rows, in row order
-            node, rows_in = W.nonzero()
-            ws = W[node, rows_in]
+            node, rows = W.nonzero()
+            ws, gs, hs = W[node, rows], grad[block[node], rows], hess[block[node], rows]
             values = []
             for s in node_slices(node, len(W)):
-                w, u = ws[s], rows_in[s]
-                values.append(float((w @ grad[u]) / (w @ hess[u] + 1e-16)))
+                w = ws[s]
+                values.append(float((w @ gs[s]) / (w @ hs[s] + 1e-16)))
             return values
 
         if spec.subsample < 1.0:
-            weights = np.zeros((k, len(stacked)))
+            weights = np.zeros_like(counts)
             for i, ((X, _), (_, _, _, inverse)) in enumerate(zip(problems, deduped)):
                 rng = np.random.default_rng([spec.seed, r])
                 m = max(1, int(round(spec.subsample * len(X))))
                 picked = rng.choice(len(X), size=m, replace=False)
-                weights[i, blocks[i]:blocks[i + 1]] = np.bincount(
-                    inverse[picked], minlength=sizes[i]
-                )
+                weights[i] = np.bincount(inverse[picked], minlength=counts.shape[1])
         else:
             weights = counts
-        trees = grow_trees(stacked, grad, weights, spec.max_depth, sse_gain, leaf_fn)
-        F += spec.learning_rate * trees.leaf_values(stacked)[block, rows]
+        trees = grow_trees(blocks, grad, weights, spec.max_depth, sse_gain, leaf_fn)
+        F += spec.learning_rate * _own_leaf_values(trees, blocks.X)
         rounds.append(trees)
     grown = Trees.concat(rounds)  # round-major: tree r * k + i is problem i's round r
     return [
@@ -92,7 +102,7 @@ def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
             base_score=base,
             shrinkage=spec.learning_rate,
             trees=replace(grown, roots=grown.roots[i::k]),
-            n_features=stacked.shape[1],
+            n_features=blocks.X.shape[2],
         )
         for i, base in enumerate(bases)
     ]

@@ -6,7 +6,9 @@ order. Feature subsets are sqrt-sized samples of the node's varying columns;
 all-constant columns never enter the pool, so predictions are invariant to
 appending constant columns. All trees grow together (``grow_trees``): their
 bootstraps are one trees x unique-rows weight matrix, and because weights
-are counts and targets 0/1, every node sum is an exact integer.
+are counts and targets 0/1, every node sum is an exact integer. Each
+lockstep step draws the feature subsets of all its nodes in one call, one
+permutation per node from that node's tree's stream.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import Classifier, dedup_rows
-from .tree import Trees, distinct_rows, entropy_gain, gini_gain, grow_trees
+from .tree import Blocks, Trees, distinct_rows, entropy_gain, gini_gain, grow_trees
 
 
 @dataclass(frozen=True)
@@ -41,18 +43,24 @@ def fit_forest(spec, X, y) -> RandomForestModel:
         dtype=float,
     )
 
-    def leaf_fn(W):
+    def leaf_fn(W, block):
         # weighted majority vote, ties toward hateful
         return np.where(2.0 * (W @ y_u) >= W.sum(axis=1), 1.0, 0.0)
 
-    def choose_features(tree, candidates):
-        # sqrt-sized draw from the node's varying columns; the stream
-        # consumed depends only on the candidate count
-        m = max(1, math.isqrt(len(candidates)))
-        if m >= len(candidates):
-            return candidates
-        pick = rngs[tree].permutation(len(candidates))[:m]
-        return candidates[np.sort(pick)]
+    def choose_features(trees, starts, counts):
+        # one sqrt-sized draw from each node's run of varying columns, from
+        # its tree's stream, which it consumes by the candidate count alone;
+        # a node with one candidate, whose draw would be all of it, draws nothing
+        chosen = [starts[counts == 1]]
+        drawn = counts > 1
+        for tree, start, count in zip(trees[drawn].tolist(), starts[drawn].tolist(),
+                                      counts[drawn].tolist()):
+            pick = rngs[tree].permutation(count)[: math.isqrt(count)]
+            pick += start
+            chosen.append(pick)
+        return np.concatenate(chosen)
 
-    trees = grow_trees(unique, y_u, weights, spec.max_depth, gain_fn, leaf_fn, choose_features)
+    trees = grow_trees(
+        Blocks([unique]), y_u[None], weights, spec.max_depth, gain_fn, leaf_fn, choose_features
+    )
     return RandomForestModel(family="rforest", trees=trees, n_features=d)

@@ -9,20 +9,27 @@ node have no candidates, so tree shape is invariant to appending all-constant
 columns. Equal-gain ties resolve to the lowest feature index, then the lowest
 threshold, making construction fully deterministic.
 
-``grow_trees`` grows a batch of trees in lockstep. When trees draw random
-feature subsets, every step expands the next depth-first (preorder) node of
-each unfinished tree, so each tree consumes its random stream in preorder;
-otherwise every pending node is expanded at once. A step gets all nodes'
-weight and per-side counts from one matmul of their weights (nodes x unique
-rows) against the unique rows. Target sums come from a second matmul when
-targets are integers, where every sum is exact; float targets are summed per
-node over the node's own rows and candidate columns, in row order, so a
-tree's sums depend neither on the nodes it shares a step with nor on rows
-its weights leave out. Boosting relies on this to grow the trees of
-several problems in one call, each weighting only its own block of stacked
-rows. A node is its tree's weight row with the rows that do not reach it
-zeroed, and children that are leaves by depth, weight or purity get their
-values when created.
+``grow_trees`` grows a batch of trees in lockstep over ``Blocks``: unique
+rows in one or more blocks, each padded with zero rows to the longest block.
+With one block every tree grows over it (the forest, or a single fit);
+otherwise tree k grows over block k (boosting's stacked problems). A node is
+its tree's weight row over its own block, with the rows that do not reach it
+zeroed, and every per-node array it reads (rows, targets, sorted columns) is
+its own block's, so a step's arrays are nodes x largest block wide. The
+column state (which columns are 0/1, and each other column's per-block sort)
+is computed once per ``Blocks``, so boosting's rounds share it. When trees
+draw random feature subsets, every step expands the next depth-first
+(preorder) node of each unfinished tree and makes one draw call for all of
+them, so each tree consumes its random stream in preorder; otherwise every
+pending node is expanded at once. A step gets all nodes' per-side counts
+from one batched product of their weights with their blocks' rows, a single
+matmul in a one-block build, which gathers no rows per node. Target sums
+come from a second such product when targets are integers, where every sum
+is exact; float targets are
+summed per node over the node's own rows and candidate columns, in row
+order, so a tree's sums depend neither on the nodes it shares a step with
+nor on rows its weights leave out. Children that are leaves by depth,
+weight or purity get their values when created.
 
 Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
 its root reaches; prediction descends all trees at once, one vectorized step
@@ -172,84 +179,133 @@ def node_slices(node, count):
     return [slice(start, end) for start, end in zip([0] + ends, ends)]
 
 
+class Blocks:
+    """Unique rows in blocks, and the column state every build over them reads.
+
+    ``X[b]`` holds block b's rows, then rows of zeros up to the longest
+    block; trees weight these padding rows 0, so they add exact zeros to
+    every sum. ``binary`` marks the columns that are 0/1 in every block, and
+    each other column j has its per-block sort in ``sorted_cols[j]``.
+    """
+
+    def __init__(self, blocks):
+        self.sizes = [len(rows) for rows in blocks]
+        self.X = self.pad(blocks)
+        self.binary = ((self.X == 0.0) | (self.X == 1.0)).all(axis=(0, 1))
+        self.sorted_cols = {
+            j: _sorted_column(self.X[:, :, j]) for j in (~self.binary).nonzero()[0].tolist()
+        }
+
+    def pad(self, arrays):
+        """The per-block ``arrays`` stacked, each padded with zeros to the longest block."""
+        padded = np.zeros((len(arrays), max(self.sizes)) + np.shape(arrays[0])[1:])
+        for b, array in enumerate(arrays):
+            padded[b, : len(array)] = array
+        return padded
+
+
+def _per_node(A, block):
+    """Each node's block of ``A``: ``A[block]``, or the one block itself when
+    there is one, which broadcasts against the nodes' rows."""
+    return A[0] if len(A) == 1 else A[block]
+
+
+def _column_sums(W, X, block):
+    """Each node's weighted column sums over its own block, exact while every
+    term is an integer."""
+    if len(X) == 1:
+        return W @ X[0]  # a one-block build gathers no rows per node
+    return (W[:, None] @ X[block])[:, 0]
+
+
 def _sorted_column(x):
-    """Stable order of column ``x`` over all unique rows, and its value groups."""
-    order = np.argsort(x, kind="stable")
-    sv = x[order]
-    ends = np.append(np.flatnonzero(sv[:-1] != sv[1:]), len(sv) - 1)
-    return order, ends, sv[ends]
+    """Per block: the stable order of column ``x`` over the block's rows, and
+    its value groups (end positions and values). A block with fewer groups
+    repeats its last one, which holds no rows of its own."""
+    order = np.argsort(x, axis=1, kind="stable")
+    sv = np.take_along_axis(x, order, axis=1)
+    ends = [np.append(np.flatnonzero(s[:-1] != s[1:]), len(s) - 1) for s in sv]
+    groups = max(len(e) for e in ends)
+    ends = np.array([np.pad(e, (0, groups - len(e)), mode="edge") for e in ends])
+    return order, ends, np.take_along_axis(sv, ends, axis=1)
 
 
-def _sorted_split(column, W, t, n, T, gain_fn):
+def _sorted_split(column, W, Wt, n, T, gain_fn):
     """Best (gain, threshold) per node on one column with non-0/1 values.
 
-    A candidate is the boundary after each value present in the node, except
-    the largest; its threshold is the midpoint to the next present value.
-    Cumulative sums run along the column's global order, where rows outside
-    a node add exact zeros, so each node's prefix sums are the ones its own
-    sorted rows give.
+    ``column`` holds each node's block's sort of the column. A candidate is
+    the boundary after each value present in the node, except the largest;
+    its threshold is the midpoint to the next present value. Cumulative sums
+    run along the block's order, where rows outside a node add exact zeros,
+    so each node's prefix sums are the ones its own sorted rows give.
     """
     order, ends, values = column
-    Wo = W[:, order]
-    cn = np.cumsum(Wo, axis=1)[:, ends]
-    ct = np.cumsum(Wo * t[order], axis=1)[:, ends]
-    groups = len(ends)
+    r = np.arange(len(W))[:, None]
+    cn = np.cumsum(W[r, order], axis=1)[r, ends]
+    ct = np.cumsum(Wt[r, order], axis=1)[r, ends]
+    groups = ends.shape[1]
     present = np.diff(cn, axis=1, prepend=0.0) > 0.0
     first_at = np.minimum.accumulate(
         np.where(present, np.arange(groups), groups)[:, ::-1], axis=1
     )[:, ::-1]
     nxt = np.concatenate([first_at[:, 1:], np.full((len(W), 1), groups)], axis=1)
     g = np.where(present & (nxt < groups), gain_fn(n, T, cn, ct), -np.inf)
-    r = np.arange(len(W))
+    r = r[:, 0]
     best = np.argmax(g, axis=1)  # first max: lowest threshold wins ties
-    lo = values[best]
-    hi = values[np.minimum(nxt[r, best], groups - 1)]
+    lo = values[r, best]
+    hi = values[r, np.minimum(nxt[r, best], groups - 1)]
     thr = lo + (hi - lo) / 2
     thr = np.where(thr >= hi, lo, thr)  # midpoint rounded up to the right value
     return g[r, best], thr
 
 
-def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None):
-    """Grow one tree per row of ``weights`` over the unique rows ``X``.
+def grow_trees(blocks, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None):
+    """Grow one tree per row of ``weights`` over the unique rows of ``blocks``.
 
-    ``t`` holds the targets of the unique rows and ``weights[k]`` tree k's
-    row multiplicities (0 leaves a row out of the sums). ``leaf_fn(W)``
-    gives the leaf values of the nodes whose weight rows are stacked in
-    ``W``. ``choose_features(k, candidates)`` optionally subsamples a node's
-    varying columns (random-forest style); it is called in each tree's
-    depth-first preorder. Without it nothing is drawn, the order is free,
-    and each step expands every pending node. Tree k of the returned
-    ``Trees`` is the one ``weights[k]`` grows.
+    With one block every tree grows over it; otherwise tree k grows over
+    block k. ``t[b]`` holds block b's targets and ``weights[k]`` tree k's
+    row multiplicities over its block (0 leaves a row out of the sums; the
+    padding rows must have 0). ``leaf_fn(W, block)`` gives the leaf values of
+    the nodes whose weight rows are stacked in ``W`` and whose blocks are in
+    ``block``. ``choose_features(trees, starts, counts)`` optionally
+    subsamples each node's varying columns (random-forest style): given each
+    node's tree and the start and length of its run in ``varying.nonzero()``,
+    it returns the flat indices of the chosen ones. It is called once per
+    step, which expands the next node of each unfinished tree in depth-first
+    preorder. Without it nothing is drawn, the order is free, and each step
+    expands every pending node. Tree k of the returned ``Trees`` is the one
+    ``weights[k]`` grows.
     """
-    X = np.asarray(X, dtype=float)
+    X, t = blocks.X, np.asarray(t, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    binary = ((X == 0.0) | (X == 1.0)).all(axis=0)
-    sorted_cols = {j: _sorted_column(X[:, j]) for j in (~binary).nonzero()[0].tolist()}
+    n_trees = len(weights)
+    tree_block = np.arange(n_trees) if len(X) > 1 else np.zeros(n_trees, dtype=int)
     integer_targets = bool((t == np.round(t)).all())
     nodes = _Nodes()
 
-    def leaves(ids, W):
-        nodes.leaves.append((ids, np.asarray(leaf_fn(W), dtype=float)))
+    def leaves(ids, W, block):
+        nodes.leaves.append((ids, np.asarray(leaf_fn(W, block), dtype=float)))
 
     def settle(trees, ids, depth, W):
         # leaves by depth, weight or purity get their values now, the rest
         # are returned for a step
+        block = tree_block[trees]
         leaf = depth >= max_depth
         if leaf.all():
-            leaves(ids, W)
+            leaves(ids, W, block)
             return ()
         member = W > 0
+        tn = _per_node(t, block)
         leaf |= (W.sum(axis=1) < MIN_SAMPLES_SPLIT) | (
-            np.where(member, t, np.inf).min(axis=1) == np.where(member, t, -np.inf).max(axis=1)
+            np.where(member, tn, np.inf).min(axis=1) == np.where(member, tn, -np.inf).max(axis=1)
         )
         if leaf.any():
-            leaves(ids[leaf], W[leaf])
+            leaves(ids[leaf], W[leaf], block[leaf])
         keep = ~leaf
         if not keep.any():
             return ()
         return trees[keep], ids[keep], depth[keep], W[keep]
 
-    n_trees = len(weights)
     roots = nodes.number(n_trees)
     with np.errstate(divide="ignore", invalid="ignore"):
         # pending nodes (tree, id, depth, weight row) in the order they were
@@ -265,18 +321,19 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
                 batch = tuple(p[newest] for p in pending)
                 pending = tuple(p[rest] for p in pending) if rest.any() else ()
             trees, ids, depth, W = batch
+            block = tree_block[trees]
             feature, threshold = _best_splits(
-                X, t, W, sorted_cols, integer_targets, gain_fn, choose_features, trees
+                blocks, t, W, block, integer_targets, gain_fn, choose_features, trees
             )
             split = feature >= 0
             if not split.all():
                 leaf = ~split
-                leaves(ids[leaf], W[leaf])
+                leaves(ids[leaf], W[leaf], block[leaf])
                 trees, ids, depth, W = trees[split], ids[split], depth[split], W[split]
-                feature, threshold = feature[split], threshold[split]
+                block, feature, threshold = block[split], feature[split], threshold[split]
             if not len(ids):
                 continue
-            go_left = X[:, feature].T <= threshold[:, None]
+            go_left = X[block, :, feature] <= threshold[:, None]
             right_left = nodes.number(2 * len(ids))
             right, left = right_left[: len(ids)], right_left[len(ids):]
             nodes.splits.append((ids, feature, threshold, left, right))
@@ -294,22 +351,25 @@ def grow_trees(X, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None)
     return nodes.trees(roots)
 
 
-def _best_splits(X, t, W, sorted_cols, integer_targets, gain_fn, choose_features, trees):
+def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features, trees):
     """(feature, threshold) of each node's best split; feature -1 for none.
 
     Each node's candidates are its varying columns, subsampled by
     ``choose_features`` when given. A candidate column whose values in the
     node are all 0/1 splits at 0.5 and gets its right-side sums from a
-    matmul; any other candidate takes the sorted search.
+    matmul; any other candidate takes the sorted search. Every array a node
+    reads is its own block's.
     """
+    X = blocks.X
     a = len(W)
     n = W.sum(axis=1, keepdims=True)
-    nR = W @ X  # weight of the rows holding 1, for 0/1 columns; exact, as weights are counts
+    # weight of the rows holding 1, for 0/1 columns; exact, as weights are counts
+    nR = _column_sums(W, X, block)
     varying = (nR > 0) & (nR < n)
     in_node_binary = np.ones(varying.shape, dtype=bool)
     member = W > 0
-    for j in sorted_cols:
-        x = X[:, j]
+    for j in blocks.sorted_cols:
+        x = _per_node(X[:, :, j], block)
         varying[:, j] = np.where(member, x, np.inf).min(axis=1) < np.where(
             member, x, -np.inf
         ).max(axis=1)
@@ -319,18 +379,19 @@ def _best_splits(X, t, W, sorted_cols, integer_targets, gain_fn, choose_features
         candidate = varying
     else:
         node, col = varying.nonzero()
-        chosen = [choose_features(k, col[s]) for k, s in zip(trees.tolist(), node_slices(node, a))]
+        counts = np.bincount(node, minlength=a)
+        chosen = choose_features(trees, np.cumsum(counts) - counts, counts)
         candidate = np.zeros_like(varying)
-        candidate[np.repeat(np.arange(a), [len(c) for c in chosen]), np.concatenate(chosen)] = True
+        candidate[node[chosen], col[chosen]] = True
     if not candidate.any():  # also the case of a design with no columns
         return np.full(a, -1), np.zeros(a)
 
     by_sums = candidate & in_node_binary
-    Wt = W * t
+    Wt = W * _per_node(t, block)
     if integer_targets:
         # every sum is an exact integer, whatever the order it is taken in
         T = Wt.sum(axis=1, keepdims=True)
-        TR = Wt @ X
+        TR = _column_sums(Wt, X, block)
     else:
         # float sums depend on their order: each node sums its own rows and
         # candidate columns, so no tree's sums depend on the nodes beside it
@@ -339,19 +400,21 @@ def _best_splits(X, t, W, sorted_cols, integer_targets, gain_fn, choose_features
         row_node, rows = W.nonzero()
         col_node, cols = by_sums.nonzero()
         wts = Wt[row_node, rows]
-        for i, (r, c) in enumerate(zip(node_slices(row_node, a), node_slices(col_node, a))):
+        slices = zip(block.tolist(), node_slices(row_node, a), node_slices(col_node, a))
+        for i, (b, r, c) in enumerate(slices):
             wt, cs = wts[r], cols[c]
             T[i] = wt.sum()
             # the gathered block's memory layout picks BLAS's summation order
-            TR[i, cs] = wt @ X[rows[r]][:, cs]
+            TR[i, cs] = wt @ X[b][rows[r]][:, cs]
     gains = np.where(by_sums, gain_fn(n, T, n - nR, T - TR), -np.inf)
     sorted_thresholds = {}
-    for j, column in sorted_cols.items():
+    for j, column in blocks.sorted_cols.items():
         sel = (candidate[:, j] & ~in_node_binary[:, j]).nonzero()[0]
         if len(sel):
             sorted_thresholds[j] = np.full(a, 0.5)
             gains[sel, j], sorted_thresholds[j][sel] = _sorted_split(
-                column, W[sel], t, n[sel], T[sel], gain_fn
+                [c[block[sel]] for c in column], W[sel], Wt[sel], n[sel], T[sel],
+                gain_fn,
             )
 
     best = gains.argmax(axis=1)  # first max: lowest feature index wins ties

@@ -128,6 +128,8 @@ def parse_dataset(source, strict: bool = True):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # an integer past CPython's int-string digit limit
+                raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")
             message = message_from_dict(record, line_no)

@@ -380,6 +380,14 @@ _BAD_RECORDS = {
             id="stats-not-utf8",
         ),
         pytest.param(
+            ["validate", "--dataset", "{big_int}"], None, 2, "invalid record at line 1:",
+            id="validate-big-int",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{big_int}"], None, 2, "data error: line 1:",
+            id="stats-big-int",
+        ),
+        pytest.param(
             ["validate", "--dataset", "{null_id}"], None, 2, "invalid record at line 1:",
             id="validate-null-id",
         ),
@@ -422,7 +430,10 @@ def test_bad_input_exits_with_documented_code(
 ):
     not_utf8 = tmp_path / "not_utf8.jsonl"
     not_utf8.write_bytes(b"\xff\xfe" + dataset_file.read_bytes())
-    files = {"data": dataset_file, "not_utf8": not_utf8}
+    # json.loads raises a plain ValueError on an integer of more than 4300 digits
+    big_int = tmp_path / "big_int.jsonl"
+    big_int.write_text('{"id": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    files = {"data": dataset_file, "not_utf8": not_utf8, "big_int": big_int}
     for name, lines in _BAD_RECORDS.items():
         files[name] = tmp_path / f"{name}.jsonl"
         files[name].write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")

@@ -178,6 +178,19 @@ def test_parse_lenient_skips_and_counts():
     assert result.skipped[0].line_no == 2
 
 
+def test_parse_lenient_skips_an_integer_past_the_digit_limit():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on such a record
+    big = '{"id": "b", "n": ' + "9" * 5000 + "}"
+    lines = [json.dumps(RECORD), big, json.dumps(dict(RECORD, id="c"))]
+    result = parse_dataset(lines, strict=False)
+    assert result.dataset.ids == ("a", "c")
+    assert [issue.line_no for issue in result.skipped] == [2]
+    assert isinstance(result.skipped[0].error, MalformedRecordError)
+    assert "invalid JSON: Exceeds the limit (4300 digits)" in str(result.skipped[0].error)
+    with pytest.raises(MalformedRecordError, match="invalid JSON"):
+        parse_dataset(lines)
+
+
 def test_parse_empty_dataset_error():
     with pytest.raises(EmptyDatasetError):
         parse_dataset(["", "   "])
@@ -342,7 +355,9 @@ def _line(draw, line_index):
         "roles", "blank",
     ]))
     if kind == "bad-json":
-        return draw(st.sampled_from([b"{nonsense", b'{"id": "x",', b"[1,", b"nul", b"{}}"]))
+        return draw(st.sampled_from([
+            b"{nonsense", b'{"id": "x",', b"[1,", b"nul", b"{}}", b'{"id": ' + b"7" * 4301 + b"}",
+        ]))
     if kind == "not-utf8":
         return draw(st.sampled_from([b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"])) + json.dumps(
             record

@@ -30,7 +30,7 @@ from argstruct.models import (
     fit_each,
 )
 from argstruct.models.persist import load_model, model_to_dict, save_model
-from argstruct.models.tree import gini_gain, grow_trees
+from argstruct.models.tree import Blocks, gini_gain, grow_trees
 from argstruct.synth import GeneratorConfig, generate
 
 BINARY_VALUES = st.sampled_from([0.0, 1.0])
@@ -121,7 +121,9 @@ def test_gini_tie_between_complementary_columns_follows_recursive_builder():
     X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
     t = np.array([1.0, 0.0, 1.0, 0.0])
     w = np.array([4.0, 7.0, 53.0, 93.0])
-    trees = grow_trees(X, t, w[None, :], 1, gini_gain, lambda W: np.zeros(len(W)))
+    trees = grow_trees(
+        Blocks([X]), t[None], w[None, :], 1, gini_gain, lambda W, block: np.zeros(len(W))
+    )
     root = tree_oracle.grow_tree(
         X, t, np.arange(4), w, 1, tree_oracle.gini_gain, lambda idx, w: 0.0, binary=True
     )
@@ -261,3 +263,52 @@ def test_batched_gbt_models_save_and_reload_like_single_fits(subsample, tmp_path
         save_model(fit(spec, X[train], y[train]), alone)
         assert batched.read_bytes() == alone.read_bytes()
         assert load_model(batched).predict_score(X).tobytes() == model.predict_score(X).tobytes()
+
+
+def _corpus_design(seed, n_hateful, n_nonhateful):
+    """The arg-str-cw-hs design (30 columns) of a generated corpus plus a
+    stage-1-like column of values k/8, which takes the sorted search."""
+    dataset = generate(GeneratorConfig(
+        mode="table1", n_hateful=n_hateful, n_nonhateful=n_nonhateful, seed=seed))
+    y = np.asarray(dataset.labels(), dtype=float)
+    X = design_matrices(dataset, ["arg-str-cw-hs"])["arg-str-cw-hs"]
+    score = np.random.default_rng(seed).integers(0, 9, len(X)) / 8.0
+    return dataset, np.hstack([X, score[:, None]]), y
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_forest_matches_recursive_builder_on_corpus_folds(criterion):
+    # 31 columns: nodes draw isqrt(c) of up to 31 varying columns, so the
+    # draws cover runs of many lengths and offsets and nodes with a single
+    # candidate, which draw nothing
+    dataset, X, y = _corpus_design(11, 120, 80)
+    folds = stratified_kfold(dataset.labels(), 5, seed=11)
+    spec = ModelSpec("rforest", tree_count=25, criterion=criterion, seed=11)
+    for fold in range(2):
+        train = folds.train_indices(fold)
+        _assert_matches_oracle(spec, X[train], y[train],
+                               tree_oracle.forest_dict(spec, X[train], y[train]))
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_batched_gbt_on_unequal_blocks_matches_single_fits(subsample, tmp_path):
+    # problems of 10, 60 and 300 rows: every step's nodes hold padding rows,
+    # and the small blocks' stage-1-like column has fewer value groups
+    _, X, y = _corpus_design(13, 227, 136)
+    hateful, other = np.flatnonzero(y == 1.0), np.flatnonzero(y == 0.0)
+    batch = []
+    for size, start in ((10, 0), (60, 5), (300, 20)):
+        rows = np.concatenate([hateful[start:start + size // 2],
+                               other[start:start + size - size // 2]])
+        batch.append((X[rows], y[rows]))
+    sizes = [len(dedup_rows(Xp, yp)[0]) for Xp, yp in batch]
+    assert sizes[0] < sizes[1] < sizes[2]
+    spec = ModelSpec("gbt", tree_count=6, subsample=subsample, seed=13)
+    batched, alone = tmp_path / "batched.json", tmp_path / "alone.json"
+    for model, (Xp, yp) in zip(fit_each(spec, batch), batch):
+        single = fit(spec, Xp, yp)
+        assert model_to_dict(model) == model_to_dict(single) == tree_oracle.gbt_dict(spec, Xp, yp)
+        save_model(model, batched)
+        save_model(single, alone)
+        assert batched.read_bytes() == alone.read_bytes()
+        assert model.predict_score(X).tobytes() == single.predict_score(X).tobytes()
