@@ -25,11 +25,10 @@ pending node is expanded at once. A step gets all nodes' per-side counts
 from one batched product of their weights with their blocks' rows, a single
 matmul in a one-block build, which gathers no rows per node. Target sums
 come from a second such product when targets are integers, where every sum
-is exact; float targets are
-summed per node over the node's own rows and candidate columns, in row
-order, so a tree's sums depend neither on the nodes it shares a step with
-nor on rows its weights leave out. Children that are leaves by depth,
-weight or purity get their values when created.
+is exact; float targets are summed per node over the node's own rows and
+candidate columns, in row order, so a tree's sums depend neither on the
+nodes it shares a step with nor on rows its weights leave out. Children
+that are leaves by depth, weight or purity get their values when created.
 
 Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
 its root reaches; prediction descends all trees at once, one vectorized step
