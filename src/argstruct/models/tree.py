@@ -209,6 +209,13 @@ def _per_node(A, block):
     return A[0] if len(A) == 1 else A[block]
 
 
+def _one_value(A, block, member):
+    """Whether all of each node's rows (``member``) hold the value its first
+    row holds in ``A``, an array of per-block rows."""
+    first = A[block, member.argmax(axis=1)]
+    return ~(member & (_per_node(A, block) != first[:, None])).any(axis=1)
+
+
 def _column_sums(W, X, block):
     """Each node's weighted column sums over its own block, exact while every
     term is an integer."""
@@ -242,17 +249,15 @@ def _sorted_split(column, W, Wt, n, T, gain_fn):
     r = np.arange(len(W))[:, None]
     cn = np.cumsum(W[r, order], axis=1)[r, ends]
     ct = np.cumsum(Wt[r, order], axis=1)[r, ends]
-    groups = ends.shape[1]
-    present = np.diff(cn, axis=1, prepend=0.0) > 0.0
-    first_at = np.minimum.accumulate(
-        np.where(present, np.arange(groups), groups)[:, ::-1], axis=1
-    )[:, ::-1]
-    nxt = np.concatenate([first_at[:, 1:], np.full((len(W), 1), groups)], axis=1)
-    g = np.where(present & (nxt < groups), gain_fn(n, T, cn, ct), -np.inf)
-    r = r[:, 0]
+    present = cn > np.concatenate([np.zeros((len(cn), 1)), cn[:, :-1]], axis=1)
+    # a boundary needs the node's rows on both sides: its group present, and
+    # weight after it (counts are integers, so cn reaches n exactly)
+    g = np.where(present & (cn < n), gain_fn(n, T, cn, ct), -np.inf)
     best = np.argmax(g, axis=1)  # first max: lowest threshold wins ties
-    lo = values[r, best]
-    hi = values[r, np.minimum(nxt[r, best], groups - 1)]
+    # the threshold's right value is the next present group's
+    nxt = np.argmax(present & (np.arange(ends.shape[1]) > best[:, None]), axis=1)
+    r = r[:, 0]
+    lo, hi = values[r, best], values[r, nxt]
     thr = lo + (hi - lo) / 2
     thr = np.where(thr >= hi, lo, thr)  # midpoint rounded up to the right value
     return g[r, best], thr
@@ -293,11 +298,7 @@ def grow_trees(blocks, t, weights, max_depth, gain_fn, leaf_fn, choose_features=
         if leaf.all():
             leaves(ids, W, block)
             return ()
-        member = W > 0
-        tn = _per_node(t, block)
-        leaf |= (W.sum(axis=1) < MIN_SAMPLES_SPLIT) | (
-            np.where(member, tn, np.inf).min(axis=1) == np.where(member, tn, -np.inf).max(axis=1)
-        )
+        leaf |= (W.sum(axis=1) < MIN_SAMPLES_SPLIT) | _one_value(t, block, W > 0)
         if leaf.any():
             leaves(ids[leaf], W[leaf], block[leaf])
         keep = ~leaf
@@ -368,11 +369,9 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
     in_node_binary = np.ones(varying.shape, dtype=bool)
     member = W > 0
     for j in blocks.sorted_cols:
+        varying[:, j] = ~_one_value(X[:, :, j], block, member)
         x = _per_node(X[:, :, j], block)
-        varying[:, j] = np.where(member, x, np.inf).min(axis=1) < np.where(
-            member, x, -np.inf
-        ).max(axis=1)
-        in_node_binary[:, j] = np.where(member, (x == 0.0) | (x == 1.0), True).all(axis=1)
+        in_node_binary[:, j] = ~(member & (x != 0.0) & (x != 1.0)).any(axis=1)
 
     if choose_features is None:
         candidate = varying
@@ -386,6 +385,7 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
         return np.full(a, -1), np.zeros(a)
 
     by_sums = candidate & in_node_binary
+    node, col = by_sums.nonzero()
     Wt = W * _per_node(t, block)
     if integer_targets:
         # every sum is an exact integer, whatever the order it is taken in
@@ -397,15 +397,17 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
         T = np.empty((a, 1))
         TR = np.zeros_like(nR)
         row_node, rows = W.nonzero()
-        col_node, cols = by_sums.nonzero()
         wts = Wt[row_node, rows]
-        slices = zip(block.tolist(), node_slices(row_node, a), node_slices(col_node, a))
+        slices = zip(block.tolist(), node_slices(row_node, a), node_slices(node, a))
         for i, (b, r, c) in enumerate(slices):
-            wt, cs = wts[r], cols[c]
+            wt, cs = wts[r], col[c]
             T[i] = wt.sum()
             # the gathered block's memory layout picks BLAS's summation order
             TR[i, cs] = wt @ X[b][rows[r]][:, cs]
-    gains = np.where(by_sums, gain_fn(n, T, n - nR, T - TR), -np.inf)
+    # gains of the 0/1 candidates only: a forest node draws a few of its columns
+    gains = np.full(nR.shape, -np.inf)
+    nn, tt = n[node, 0], T[node, 0]
+    gains[node, col] = gain_fn(nn, tt, nn - nR[node, col], tt - TR[node, col])
     sorted_thresholds = {}
     for j, column in blocks.sorted_cols.items():
         sel = (candidate[:, j] & ~in_node_binary[:, j]).nonzero()[0]
