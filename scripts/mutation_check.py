@@ -54,8 +54,8 @@ MUTATIONS = (
     Mutation(
         "gbt-gather-layout",
         _TREE,
-        "TR[i, cs] = wt @ X[b][rows[r]][:, cs]",
-        "TR[i, cs] = wt @ X[b][rows[r][:, None], cs]",
+        "parts.append(wt @ X[b][rows[r]][:, cs])",
+        "parts.append(wt @ X[b][rows[r][:, None], cs])",
         ("tests/test_tree_builder.py::test_fit_each_matches_recursive_builder_on_corpus_folds",),
     ),
     Mutation(
@@ -75,15 +75,15 @@ MUTATIONS = (
     Mutation(
         "forest-draw-no-run-offset",
         _FOREST,
-        "            pick += start\n",
-        "",
+        "chosen = np.repeat(starts[drawn], sizes)",
+        "chosen = np.zeros(sum(sizes), dtype=int)",
         ("tests/test_tree_builder.py::test_forest_matches_recursive_builder_on_corpus_folds",),
     ),
     Mutation(
         "forest-draw-drops-single-candidates",
         _FOREST,
-        "chosen = [starts[counts == 1]]",
-        "chosen = [starts[:0]]",
+        "return np.concatenate([starts[counts == 1], chosen])",
+        "return np.concatenate([starts[:0], chosen])",
         ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
     ),
     Mutation(

@@ -51,14 +51,16 @@ def fit_forest(spec, X, y) -> RandomForestModel:
         # one sqrt-sized draw from each node's run of varying columns, from
         # its tree's stream, which it consumes by the candidate count alone;
         # a node with one candidate, whose draw would be all of it, draws nothing
-        chosen = [starts[counts == 1]]
         drawn = counts > 1
-        for tree, start, count in zip(trees[drawn].tolist(), starts[drawn].tolist(),
-                                      counts[drawn].tolist()):
-            pick = rngs[tree].permutation(count)[: math.isqrt(count)]
-            pick += start
-            chosen.append(pick)
-        return np.concatenate(chosen)
+        sizes = [math.isqrt(c) for c in counts[drawn].tolist()]
+        picks = [
+            rngs[tree].permutation(c)[:m]
+            for tree, c, m in zip(trees[drawn].tolist(), counts[drawn].tolist(), sizes)
+        ]
+        chosen = np.repeat(starts[drawn], sizes)  # each pick's run start
+        if picks:
+            chosen += np.concatenate(picks)
+        return np.concatenate([starts[counts == 1], chosen])
 
     trees = grow_trees(
         Blocks([unique]), y_u[None], weights, spec.max_depth, gain_fn, leaf_fn, choose_features

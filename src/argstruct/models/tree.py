@@ -376,11 +376,11 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
     if choose_features is None:
         candidate = varying
     else:
-        node, col = varying.nonzero()
-        counts = np.bincount(node, minlength=a)
+        var_node, var_col = varying.nonzero()
+        counts = np.bincount(var_node, minlength=a)
         chosen = choose_features(trees, np.cumsum(counts) - counts, counts)
         candidate = np.zeros_like(varying)
-        candidate[node[chosen], col[chosen]] = True
+        candidate[var_node[chosen], var_col[chosen]] = True
     if not candidate.any():  # also the case of a design with no columns
         return np.full(a, -1), np.zeros(a)
 
@@ -394,16 +394,17 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
     else:
         # float sums depend on their order: each node sums its own rows and
         # candidate columns, so no tree's sums depend on the nodes beside it
-        T = np.empty((a, 1))
-        TR = np.zeros_like(nR)
         row_node, rows = W.nonzero()
         wts = Wt[row_node, rows]
-        slices = zip(block.tolist(), node_slices(row_node, a), node_slices(node, a))
-        for i, (b, r, c) in enumerate(slices):
+        sums, parts = [], []
+        for b, r, c in zip(block.tolist(), node_slices(row_node, a), node_slices(node, a)):
             wt, cs = wts[r], col[c]
-            T[i] = wt.sum()
+            sums.append(wt.sum())
             # the gathered block's memory layout picks BLAS's summation order
-            TR[i, cs] = wt @ X[b][rows[r]][:, cs]
+            parts.append(wt @ X[b][rows[r]][:, cs])
+        T = np.array(sums)[:, None]
+        TR = np.zeros_like(nR)
+        TR[node, col] = np.concatenate(parts)
     # gains of the 0/1 candidates only: a forest node draws a few of its columns
     gains = np.full(nR.shape, -np.inf)
     nn, tt = n[node, 0], T[node, 0]
