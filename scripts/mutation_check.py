@@ -41,6 +41,7 @@ _FOREST = "src/argstruct/models/forest.py"
 _LINEAR = "src/argstruct/models/linear.py"
 _DATA = "src/argstruct/data.py"
 _ENCODINGS = "src/argstruct/encodings.py"
+_CHANGED_LINE = "tests/test_data.py::test_one_scan_matches_per_line_loop_on_a_changed_line"
 
 MUTATIONS = (
     Mutation(
@@ -142,6 +143,49 @@ MUTATIONS = (
         "            if False:",
         ("tests/test_data.py::test_repeated_id_is_rejected_on_the_later_line",
          "tests/test_cli.py::test_bad_input_exits_with_documented_code"),
+    ),
+    Mutation(
+        "scan-never-taken",
+        _DATA,
+        "        dataset = _scan_dataset(source)",
+        "        dataset = None",
+        ("tests/test_data.py::test_one_scan_parses_generated_files_as_the_per_line_loop",),
+    ),
+    Mutation(
+        "scan-record-spans-lines",
+        _DATA,
+        'text.find("\\n", start, end) != -1',
+        "False",
+        (f"{_CHANGED_LINE}[spans-two-lines-0]",),
+    ),
+    Mutation(
+        "scan-any-character-after-record",
+        _DATA,
+        'end < n and text[end] != "\\n"',
+        "False",
+        (f"{_CHANGED_LINE}[two-records-on-a-line-0]",),
+    ),
+    Mutation(
+        "scan-no-duplicate-id-fallback",
+        _DATA,
+        "len(set(ids)) != len(ids)",
+        "False",
+        (f"{_CHANGED_LINE}[duplicate-id-0]",),
+    ),
+    Mutation(
+        "scan-no-partial-annotation-fallback",
+        _DATA,
+        "(np.repeat(label, sizes).astype(bool) & (hate == UNANNOTATED)).any()",
+        "False",
+        (f"{_CHANGED_LINE}[partial-annotation-0]",),
+    ),
+    Mutation(
+        "scan-no-role-layout-check",
+        _DATA,
+        "min(sizes) < 2 or conclusions.sum() != len(ids) or not conclusions[offsets[1:] - 1].all()",
+        "False",
+        (f"{_CHANGED_LINE}[no-premise-0]", f"{_CHANGED_LINE}[two-conclusions-0]",
+         f"{_CHANGED_LINE}[conclusion-first-0]"),
     ),
     Mutation(
         "premise-std-pairwise",

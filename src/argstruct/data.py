@@ -19,10 +19,26 @@ Interchange format: one JSON object per line, UTF-8::
 ``"hate": null`` (or an absent key) means the component is unannotated. An id
 is a string or an integer (read as its decimal string), and no two messages
 share one; ``text`` is a string or null.
+
+Parsing a path or bytes reads the bytes once, decodes them as UTF-8 once and
+walks the text with the json module's C scanner, the one ``json.loads`` uses.
+Each record must start at the first character of its line and end just
+before its ``"\n"`` or at the end of the text. Checks over all records then
+require string ids that are unique, messages of premises then one conclusion,
+texts that are strings or null, and no hateful message with an unannotated
+component. On any miss (a UTF-8 or scanner error, any error in a record, an
+integer id, a CRLF line end, a blank line, whitespace around a record, a
+failed check, an empty file) the per-line loop parses the same bytes; it
+alone reports errors, warnings and skipped records, and it is the only path
+for an iterable of lines. Nesting within a few levels of the interpreter's
+recursion limit, where either path's outcome already depends on the caller's
+stack depth, is the one input the two may judge differently.
 """
 
 import io
+import itertools
 import json
+import json.scanner
 import math
 import warnings
 from collections.abc import Iterable, Iterator
@@ -338,6 +354,60 @@ def _record_codes(record: dict, line_no: int):
     return msg_id, label, roles, cws, hates, texts
 
 
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())  # json.loads's scanner
+# each (role, cw, hate) value triple a component may carry, and its row of codes
+_HATE_OR_NULL = {None: UNANNOTATED, **_HATE_VALUES}
+_TRIPLES = list(itertools.product(_ROLE_VALUES, _CW_VALUES, _HATE_OR_NULL))
+_TRIPLE_ROW = {triple: row for row, triple in enumerate(_TRIPLES)}
+_TRIPLE_CODES = np.array(
+    [(_ROLE_VALUES[r], _CW_VALUES[c], _HATE_OR_NULL[h]) for r, c, h in _TRIPLES], dtype=np.int8
+)
+
+
+def _scan_dataset(raw: bytes) -> "Dataset | None":
+    """The Dataset of ``raw`` from one scan of its decoded text, or None when
+    any record is one the per-line loop of ``parse_dataset`` must judge."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    ids, labels, sizes, rows, texts = [], [], [], [], []
+    scan, row_of, label_of = _SCAN, _TRIPLE_ROW, _LABEL_VALUES
+    start, n = 0, len(text)
+    try:
+        while start < n:
+            record, end = scan(text, start)
+            if text.find("\n", start, end) != -1:  # the record spans lines
+                return None
+            if end < n and text[end] != "\n":  # more follows the record on its line
+                return None
+            components = record["components"]
+            ids.append(record["id"])
+            labels.append(label_of[record["label"]])
+            sizes.append(len(components))
+            for c in components:
+                rows.append(row_of[c["role"], c["cw"], c.get("hate")])
+                texts.append(c.get("text"))
+            start = end + 1
+    except Exception:  # a scanner error, or a record that is no plain message
+        return None
+    del text  # before the columns are built
+    if set(map(type, ids)) != {str} or not set(map(type, texts)) <= {str, type(None)}:
+        return None
+    if len(set(ids)) != len(ids):  # a duplicate id
+        return None
+    role, cw, hate = _TRIPLE_CODES[rows].T
+    label = np.array(labels, dtype=np.int8)
+    offsets = np.cumsum([0] + sizes)
+    # premises, then one conclusion: one conclusion per message, at its end
+    conclusions = role == CONCLUSION
+    if min(sizes) < 2 or conclusions.sum() != len(ids) or not conclusions[offsets[1:] - 1].all():
+        return None
+    if (np.repeat(label, sizes).astype(bool) & (hate == UNANNOTATED)).any():  # it would warn
+        return None
+    return Dataset(ids=ids, label=label, offsets=offsets, role=role, cw=cw, hate=hate, texts=texts)
+
+
 @dataclass(frozen=True)
 class RecordIssue:
     line_no: int
@@ -354,10 +424,7 @@ class ParseResult:
 
 
 def _iter_lines(source) -> Iterator[str | bytes]:
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield from fh
-    elif isinstance(source, bytes):
+    if isinstance(source, bytes):
         yield from io.BytesIO(source)
     elif isinstance(source, Iterable):
         yield from source
@@ -373,8 +440,16 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
     are skipped and reported in ``ParseResult.skipped``; a line that is not
     UTF-8 is malformed, and so is a record whose id an earlier record has.
     Blank lines are ignored. Raises EmptyDatasetError when no valid message
-    remains.
+    remains. A path or bytes whose records are all valid, one to a line, is
+    parsed in one scan of its text; see the module docstring.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    if isinstance(source, bytes):
+        dataset = _scan_dataset(source)
+        if dataset is not None:
+            return ParseResult(dataset, ())
     columns = {name: [] for name in ("label", "role", "cw", "hate", "texts")}
     lines_of: dict[str, int] = {}  # each accepted id's line
     sizes: list[int] = []
@@ -391,7 +466,9 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-            except ValueError as exc:  # an integer past CPython's int-string digit limit
+            # an integer past CPython's int-string digit limit, or nesting past
+            # the interpreter's recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")
@@ -425,7 +502,8 @@ def load_dataset(path, strict: bool = True) -> Dataset:
 
 
 def dataset_to_jsonl(d: Dataset) -> str:
-    """``d`` in the interchange format, one ``json.dumps`` record per message."""
+    """``d`` in the interchange format, one ``json.dumps`` record per message
+    (encoded by one ``JSONEncoder``)."""
     roles = [role.value for role in ROLE_ORDER]
     cws = [cw.value for cw in CW_ORDER]
     hates = [None if hate is ComponentHate.UNANNOTATED else hate.value for hate in HATE_ORDER]
@@ -436,11 +514,10 @@ def dataset_to_jsonl(d: Dataset) -> str:
             entry["text"] = text
         components.append(entry)
     offsets = d.offsets.tolist()
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     return "".join(
-        json.dumps(
-            {"id": msg_id, "label": LABEL_ORDER[label].value,
-             "components": components[start:end]},
-            ensure_ascii=False,
+        encode(
+            {"id": msg_id, "label": LABEL_ORDER[label].value, "components": components[start:end]}
         ) + "\n"
         for msg_id, label, start, end in zip(d.ids, d.label.tolist(), offsets, offsets[1:])
     )

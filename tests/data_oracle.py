@@ -3,11 +3,13 @@
 ``message_from_dict``, ``validate_message``, ``message_to_dict``,
 ``_iter_lines``, the loop of ``parse_dataset``, ``dataset_to_jsonl`` and
 ``dataset_stats`` are the original implementation, which built a frozen
-``Message`` per record and walked those objects in Python. Only their inputs and outputs changed: ``parse_dataset``
-returns its messages and skipped records as tuples, and ``dataset_stats`` and
-``dataset_to_jsonl`` take a sequence of messages. The domain classes, the
-error classes and ``StatsReport`` come from the library, so a test can
-compare messages, errors and reports directly.
+``Message`` per record and walked those objects in Python. Only their inputs
+and outputs changed: ``parse_dataset`` returns its messages and skipped
+records as tuples, and ``dataset_stats`` and ``dataset_to_jsonl`` take a
+sequence of messages. One fix is shared with the library: the loop reads a
+record nested past the interpreter's recursion limit as invalid JSON. The
+domain classes, the error classes and ``StatsReport`` come from the library,
+so a test can compare messages, errors and reports directly.
 """
 
 import io
@@ -128,7 +130,9 @@ def parse_dataset(source, strict: bool = True):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-            except ValueError as exc:  # an integer past CPython's int-string digit limit
+            # an integer past CPython's int-string digit limit, or nesting past
+            # the interpreter's recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")

@@ -388,6 +388,15 @@ _BAD_RECORDS = {
             id="stats-big-int",
         ),
         pytest.param(
+            ["validate", "--dataset", "{deep}"], None, 2,
+            "invalid record at line 1: line 1: invalid JSON: maximum recursion depth exceeded",
+            id="validate-deep-nesting",
+        ),
+        pytest.param(
+            ["stats", "--dataset", "{deep}"], None, 2, "data error: line 1: invalid JSON:",
+            id="stats-deep-nesting",
+        ),
+        pytest.param(
             ["validate", "--dataset", "{null_id}"], None, 2, "invalid record at line 1:",
             id="validate-null-id",
         ),
@@ -433,7 +442,10 @@ def test_bad_input_exits_with_documented_code(
     # json.loads raises a plain ValueError on an integer of more than 4300 digits
     big_int = tmp_path / "big_int.jsonl"
     big_int.write_text('{"id": ' + "1" * 5000 + "}\n", encoding="utf-8")
-    files = {"data": dataset_file, "not_utf8": not_utf8, "big_int": big_int}
+    # json.loads raises RecursionError on nesting past the interpreter's limit
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    files = {"data": dataset_file, "not_utf8": not_utf8, "big_int": big_int, "deep": deep}
     for name, lines in _BAD_RECORDS.items():
         files[name] = tmp_path / f"{name}.jsonl"
         files[name].write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import warnings
 
@@ -23,6 +25,7 @@ from argstruct.data import (
     validate_message,
     write_dataset,
 )
+from argstruct import data
 from argstruct.synth import GeneratorConfig, generate
 import data_oracle
 from messages import make_message
@@ -191,6 +194,17 @@ def test_parse_lenient_skips_an_integer_past_the_digit_limit():
         parse_dataset(lines)
 
 
+def test_parse_lenient_skips_a_record_nested_past_the_recursion_limit():
+    lines = [json.dumps(RECORD), "[" * 200_000, json.dumps(dict(RECORD, id="c"))]
+    for source in (lines, "\n".join(lines).encode()):
+        result = parse_dataset(source, strict=False)
+        assert result.dataset.ids == ("a", "c")
+        assert [issue.line_no for issue in result.skipped] == [2]
+        assert "invalid JSON: maximum recursion depth exceeded" in str(result.skipped[0].error)
+        with pytest.raises(MalformedRecordError, match="line 2: invalid JSON"):
+            parse_dataset(source)
+
+
 def test_parse_empty_dataset_error():
     with pytest.raises(EmptyDatasetError):
         parse_dataset(["", "   "])
@@ -357,6 +371,7 @@ def _line(draw, line_index):
     if kind == "bad-json":
         return draw(st.sampled_from([
             b"{nonsense", b'{"id": "x",', b"[1,", b"nul", b"{}}", b'{"id": ' + b"7" * 4301 + b"}",
+            b"[" * 100_000,
         ]))
     if kind == "not-utf8":
         return draw(st.sampled_from([b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"])) + json.dumps(
@@ -462,3 +477,117 @@ def test_validate_message_matches_object_oracle(roles, shift, label, hates):
                 error = (exc.code, str(exc))
         outcomes.append((error, [(w.category, str(w.message)) for w in caught]))
     assert outcomes[0] == outcomes[1]
+
+
+def _synth_bytes(mode, seed, n_hateful=9, n_nonhateful=7, with_texts=False):
+    d = generate(GeneratorConfig(mode=mode, n_hateful=n_hateful, n_nonhateful=n_nonhateful,
+                                 seed=seed))
+    if with_texts:  # non-ASCII, escaped and absent texts
+        texts = ["é \u2028 ü\n\"x\"", None, "", "😀"]
+        d = dataclasses.replace(d, texts=[texts[i % 4] for i in range(len(d.texts))])
+    return dataset_to_jsonl(d).encode()
+
+
+def _per_line_outcome(source, strict):
+    """What ``parse_dataset`` does with ``source``: its dataset and skipped
+    records, or its error's type, text, line and skipped records; plus its
+    warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse_dataset(source, strict)
+        except (MalformedRecordError, ValidationError, EmptyDatasetError) as exc:
+            outcome = (type(exc), str(exc), getattr(exc, "line_no", None),
+                       _issues(getattr(exc, "skipped", ())))
+        else:
+            outcome = (result.dataset, _issues(result.skipped))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def _no_per_line_loop(source):
+    raise AssertionError("the per-line loop ran")
+
+
+@pytest.mark.parametrize("with_texts", [False, True])
+@pytest.mark.parametrize("mode", ["table1", "separable"])
+@pytest.mark.parametrize("seed", [501, 502, 7])
+def test_one_scan_parses_generated_files_as_the_per_line_loop(
+    mode, seed, with_texts, tmp_path, monkeypatch
+):
+    """Generated files take the one scan, from a path or bytes, with and
+    without their last newline, and it gives the per-line loop's result."""
+    raw = _synth_bytes(mode, seed, 227, 136, with_texts)
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(raw)
+    for strict in (True, False):
+        expected = [parse_dataset(list(io.BytesIO(source)), strict) for source in (raw, raw[:-1])]
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_iter_lines", _no_per_line_loop)
+            got = [parse_dataset(source, strict) for source in (path, raw[:-1])]
+        assert got == expected
+
+
+def _record_with(line: bytes, **changes) -> bytes:
+    return json.dumps({**json.loads(line), **changes}, ensure_ascii=False).encode()
+
+
+def _components_with(line: bytes, change) -> bytes:
+    """``line`` with its components replaced by ``change(components)``."""
+    return _record_with(line, components=change(json.loads(line)["components"]))
+
+
+def _first_with(**changes):
+    return lambda components: [{**components[0], **changes}, *components[1:]]
+
+
+def _without_hate(components):
+    return [{k: v for k, v in components[0].items() if k != "hate"}, *components[1:]]
+
+
+# each a changed dataset line, from the line and a line of another record
+_VARIANTS = {
+    "spans-two-lines": lambda line, other: line.replace(b", ", b",\n", 1),
+    "two-records-on-a-line": lambda line, other: line + b" " + _record_with(line, id="extra"),
+    "trailing-spaces": lambda line, other: line + b"  ",
+    "crlf": lambda line, other: line + b"\r",
+    "leading-space": lambda line, other: b" " + line,
+    "blank-line": lambda line, other: b"\n" + line,
+    "bom": lambda line, other: b"\xef\xbb\xbf" + line,
+    "invalid-utf8": lambda line, other: line[:-2] + b"\xc3" + line[-2:],
+    "integer-id": lambda line, other: _record_with(line, id=7),
+    "hate-unannotated": lambda line, other: _components_with(
+        line, _first_with(hate="unannotated")
+    ),
+    "partial-annotation": lambda line, other: _record_with(
+        _components_with(line, _without_hate), label="hate"
+    ),
+    "duplicate-id": lambda line, other: _record_with(line, id=json.loads(other)["id"]),
+    "4301-digit-integer": lambda line, other: line[:-1] + b', "n": ' + b"1" * 4301 + b"}",
+    "deep-nesting": lambda line, other: b"[" * 200_000,
+    "not-an-object": lambda line, other: b"[" + line + b"]",
+    "text-not-string": lambda line, other: _components_with(line, _first_with(text=5)),
+    "no-premise": lambda line, other: _components_with(line, lambda cs: cs[-1:]),
+    "two-conclusions": lambda line, other: _components_with(
+        line, _first_with(role="conclusion")
+    ),
+    "conclusion-first": lambda line, other: _components_with(line, lambda cs: cs[::-1]),
+    "no-conclusion": lambda line, other: _components_with(
+        line, lambda cs: [*cs[:-1], {**cs[-1], "role": "premise"}]
+    ),
+}
+
+
+@pytest.mark.parametrize("where", [0, 5, -1])
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where):
+    """With one line changed, the result, error text, warnings and skipped
+    records of a bytes source equal those of the same lines as an iterable,
+    in strict and lenient mode; and a file with a changed line that the
+    one scan must not take falls back to the per-line loop."""
+    lines = _synth_bytes("table1", 11 + where, with_texts=True).split(b"\n")[:-1]
+    lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
+    raw = b"\n".join(lines) + b"\n"
+    for strict in (True, False):
+        assert _per_line_outcome(raw, strict) == _per_line_outcome(list(io.BytesIO(raw)), strict)
+    if variant != "hate-unannotated":  # a valid value on the one scan unless it would warn
+        assert data._scan_dataset(raw) is None
