@@ -147,8 +147,8 @@ MUTATIONS = (
     Mutation(
         "scan-never-taken",
         _DATA,
-        "        dataset = _scan_dataset(source)",
-        "        dataset = None",
+        "            dataset = _scan_dataset(text)",
+        "            dataset = None",
         ("tests/test_data.py::test_one_scan_parses_generated_files_as_the_per_line_loop",),
     ),
     Mutation(

@@ -364,13 +364,9 @@ _TRIPLE_CODES = np.array(
 )
 
 
-def _scan_dataset(raw: bytes) -> "Dataset | None":
-    """The Dataset of ``raw`` from one scan of its decoded text, or None when
-    any record is one the per-line loop of ``parse_dataset`` must judge."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+def _scan_dataset(text: str) -> Dataset | None:
+    """The Dataset of ``text`` from one scan, or None when any record is one
+    the per-line loop of ``parse_dataset`` must judge."""
     ids, labels, sizes, rows, texts = [], [], [], [], []
     scan, row_of, label_of = _SCAN, _TRIPLE_ROW, _LABEL_VALUES
     start, n = 0, len(text)
@@ -389,9 +385,9 @@ def _scan_dataset(raw: bytes) -> "Dataset | None":
                 rows.append(row_of[c["role"], c["cw"], c.get("hate")])
                 texts.append(c.get("text"))
             start = end + 1
-    except Exception:  # a scanner error, or a record that is no plain message
+    # no JSON value (StopIteration), invalid JSON, or a record that is no plain message
+    except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
         return None
-    del text  # before the columns are built
     if set(map(type, ids)) != {str} or not set(map(type, texts)) <= {str, type(None)}:
         return None
     if len(set(ids)) != len(ids):  # a duplicate id
@@ -447,9 +443,17 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
         with open(source, "rb") as fh:
             source = fh.read()
     if isinstance(source, bytes):
-        dataset = _scan_dataset(source)
-        if dataset is not None:
-            return ParseResult(dataset, ())
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError:  # the per-line loop reports the line
+            pass
+        else:
+            source = None  # the scan holds the text alone
+            dataset = _scan_dataset(text)
+            if dataset is not None:
+                return ParseResult(dataset, ())
+            source = text.encode("utf-8")  # the same bytes again, for the per-line loop
+            del text
     columns = {name: [] for name in ("label", "role", "cw", "hate", "texts")}
     lines_of: dict[str, int] = {}  # each accepted id's line
     sizes: list[int] = []

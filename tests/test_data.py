@@ -555,8 +555,8 @@ _VARIANTS = {
     "bom": lambda line, other: b"\xef\xbb\xbf" + line,
     "invalid-utf8": lambda line, other: line[:-2] + b"\xc3" + line[-2:],
     "integer-id": lambda line, other: _record_with(line, id=7),
-    "hate-unannotated": lambda line, other: _components_with(
-        line, _first_with(hate="unannotated")
+    "hate-unannotated": lambda line, other: _record_with(
+        _components_with(line, _first_with(hate="unannotated")), label="nohate"
     ),
     "partial-annotation": lambda line, other: _record_with(
         _components_with(line, _without_hate), label="hate"
@@ -579,15 +579,22 @@ _VARIANTS = {
 
 @pytest.mark.parametrize("where", [0, 5, -1])
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
-def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where):
+def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkeypatch):
     """With one line changed, the result, error text, warnings and skipped
     records of a bytes source equal those of the same lines as an iterable,
-    in strict and lenient mode; and a file with a changed line that the
-    one scan must not take falls back to the per-line loop."""
+    in strict and lenient mode; every change but a valid value sends the
+    bytes to the per-line loop."""
     lines = _synth_bytes("table1", 11 + where, with_texts=True).split(b"\n")[:-1]
     lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
     raw = b"\n".join(lines) + b"\n"
-    for strict in (True, False):
-        assert _per_line_outcome(raw, strict) == _per_line_outcome(list(io.BytesIO(raw)), strict)
-    if variant != "hate-unannotated":  # a valid value on the one scan unless it would warn
-        assert data._scan_dataset(raw) is None
+    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    sources = []
+    iter_lines = data._iter_lines
+
+    def recorded(source):
+        sources.append(source)
+        return iter_lines(source)
+
+    monkeypatch.setattr(data, "_iter_lines", recorded)
+    assert [_per_line_outcome(raw, strict) for strict in (True, False)] == expected
+    assert sources == ([] if variant == "hate-unannotated" else [raw, raw])
