@@ -506,8 +506,8 @@ def load_dataset(path, strict: bool = True) -> Dataset:
 
 
 def dataset_to_jsonl(d: Dataset) -> str:
-    """``d`` in the interchange format, one ``json.dumps`` record per message
-    (encoded by one ``JSONEncoder``)."""
+    """``d`` in the interchange format: one record per message and line, as
+    ``json.dumps(record, ensure_ascii=False)`` writes it."""
     roles = [role.value for role in ROLE_ORDER]
     cws = [cw.value for cw in CW_ORDER]
     hates = [None if hate is ComponentHate.UNANNOTATED else hate.value for hate in HATE_ORDER]

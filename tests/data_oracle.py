@@ -6,8 +6,9 @@
 ``Message`` per record and walked those objects in Python. Only their inputs
 and outputs changed: ``parse_dataset`` returns its messages and skipped
 records as tuples, and ``dataset_stats`` and ``dataset_to_jsonl`` take a
-sequence of messages. One fix is shared with the library: the loop reads a
-record nested past the interpreter's recursion limit as invalid JSON. The
+sequence of messages. Two fixes are shared with the library: the loop reads
+an integer past CPython's int-string digit limit and a record nested past
+the interpreter's recursion limit as invalid JSON. The
 domain classes, the error classes and ``StatsReport`` come from the library,
 so a test can compare messages, errors and reports directly.
 """
