@@ -67,6 +67,13 @@ MUTATIONS = (
         ("tests/test_tree_builder.py::test_batched_gbt_on_unequal_blocks_matches_single_fits",),
     ),
     Mutation(
+        "leaf-descent-wrong-block",
+        _TREE,
+        "block = np.arange(len(X))[:, None]",
+        "block = np.arange(len(X))[::-1, None]",
+        ("tests/test_tree_builder.py::test_batched_gbt_on_unequal_blocks_matches_single_fits",),
+    ),
+    Mutation(
         "block-padding-weighted",
         _TREE,
         "padded = np.zeros((len(arrays), max(self.sizes)) + np.shape(arrays[0])[1:])",

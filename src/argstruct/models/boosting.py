@@ -36,23 +36,9 @@ class GradientBoostedModel(Classifier):
     def scores(self, X):
         U, inverse = distinct_rows(X)
         F = np.full(len(U), self.base_score)
-        for leaf in self.trees.leaf_values(U):  # tree order: float sums depend on it
+        for leaf in self.trees.leaf_values(U[None]):  # tree order: float sums depend on it
             F += self.shrinkage * leaf
         return sigmoid(F)[inverse]
-
-
-def _own_leaf_values(trees, X):
-    """values[i, r]: the value of the leaf tree i sends row r of its block X[i] to."""
-    node = np.repeat(trees.roots[:, None], X.shape[1], axis=1)
-    block = np.arange(len(X))[:, None]
-    rows = np.arange(X.shape[1])
-    while True:
-        f = trees.feature[node]
-        if (f < 0).all():
-            return trees.value[node]
-        # leaves read column -1 and stay where they are
-        go_left = X[block, rows, f] <= trees.threshold[node]
-        node = np.where(go_left, trees.left[node], trees.right[node])
 
 
 def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
@@ -93,7 +79,7 @@ def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
         else:
             weights = counts
         trees = grow_trees(blocks, grad, weights, spec.max_depth, sse_gain, leaf_fn)
-        F += spec.learning_rate * _own_leaf_values(trees, blocks.X)
+        F += spec.learning_rate * trees.leaf_values(blocks.X)
         rounds.append(trees)
     grown = Trees.concat(rounds)  # round-major: tree r * k + i is problem i's round r
     return [

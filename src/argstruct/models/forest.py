@@ -29,7 +29,7 @@ class RandomForestModel(Classifier):
     def scores(self, X):
         """Fraction of trees whose leaf votes hateful."""
         U, inverse = distinct_rows(X)
-        votes = self.trees.leaf_values(U).sum(axis=0)
+        votes = self.trees.leaf_values(U[None]).sum(axis=0)
         return (votes / len(self.trees))[inverse]
 
 

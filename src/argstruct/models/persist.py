@@ -10,8 +10,9 @@ into this nested form and loading flattens it back, so the file format does
 not depend on the in-memory layout.
 
 Loading validates everything it reads: a missing key, a value of the wrong
-type, a feature index outside [0, n_features), a non-finite number or a
-weight vector of the wrong length raises ModelFormatError.
+type, a feature index outside [0, n_features), a non-finite number, a
+weight vector of the wrong length, a forest with no trees or a file nested
+past the interpreter's recursion limit raises ModelFormatError.
 """
 
 import json
@@ -181,11 +182,10 @@ def model_from_dict(obj: dict):
             bias=_number(_get(params, "bias", "params"), "params.bias"),
         )
     if family == "rforest":
-        return RandomForestModel(
-            family=family,
-            trees=_trees_from_objs(_get(params, "trees", "params"), n_features),
-            n_features=n_features,
-        )
+        trees = _trees_from_objs(_get(params, "trees", "params"), n_features)
+        if not len(trees):  # a forest divides its votes by its tree count
+            raise ModelFormatError("params.trees of a forest must hold at least one tree")
+        return RandomForestModel(family=family, trees=trees, n_features=n_features)
     if family == "gbt":
         return GradientBoostedModel(
             family=family,
@@ -202,4 +202,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:  # nesting past the interpreter's recursion limit
+        raise ModelFormatError(f"model file nested too deeply: {exc}") from None
+    return model_from_dict(obj)

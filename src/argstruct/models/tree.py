@@ -31,8 +31,9 @@ nodes it shares a step with nor on rows its weights leave out. Children
 that are leaves by depth, weight or purity get their values when created.
 
 Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
-its root reaches; prediction descends all trees at once, one vectorized step
-per level.
+its root reaches. ``Trees.leaf_values`` descends all trees at once, one step
+per level, over rows in the build's block layout: prediction's distinct rows
+as one block, and in boosting's per-round update the blocks it grew over.
 """
 
 from dataclasses import dataclass
@@ -115,15 +116,18 @@ class Trees:
         return cls(*(np.concatenate(arrays) for arrays in zip(*joined)))
 
     def leaf_values(self, X):
-        """values[k, i]: the value of the leaf tree k sends row X[i] to."""
-        node = np.repeat(self.roots[:, None], len(X), axis=1)
-        rows = np.arange(len(X))
+        """values[k, i]: the value of the leaf tree k sends row i of its block to,
+        for prediction and boosting's per-round update alike. ``X`` is in the
+        build's layout (``Blocks.X``): tree k reads block k, or the one block."""
+        block = np.arange(len(X))[:, None]  # one block broadcasts to every tree
+        node = np.repeat(self.roots[:, None], X.shape[1], axis=1)
+        rows = np.arange(X.shape[1])
         while True:
             f = self.feature[node]
             if (f < 0).all():
                 return self.value[node]
             # leaves read column -1 and stay where they are
-            go_left = X[rows, f] <= self.threshold[node]
+            go_left = X[block, rows, f] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
 
 

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argstruct.models import ModelSpec, fit
-from argstruct.models.persist import ModelFormatError, model_from_dict, model_to_dict, save_model
+from argstruct.models.persist import (
+    ModelFormatError,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPECS = {"rforest": ModelSpec("rforest", tree_count=5, seed=3), "gbt": ModelSpec("gbt", tree_count=5)}
@@ -68,6 +74,8 @@ def _mutations(obj):
         out.append(lambda o: o["params"]["weights"].pop())
         out.append(lambda o: o["params"]["weights"].__setitem__(0, math.nan))
         out.append(lambda o: o["params"].__setitem__("bias", math.inf))
+    if obj["family"] == "rforest":
+        out.append(lambda o: o["params"]["trees"].clear())  # a gbt may have no trees
     for i, node in enumerate(_nodes(obj)):
         def at(o, i=i):
             return list(_nodes(o))[i]
@@ -93,6 +101,26 @@ def test_malformed_model_dicts_raise_model_format_error(data):
     mutate(obj)
     with pytest.raises(ModelFormatError):
         model_from_dict(obj)
+
+
+def test_forest_with_no_trees_is_malformed():
+    obj = copy.deepcopy(next(o for o in VALID if o["family"] == "rforest"))
+    obj["params"]["trees"].clear()
+    with pytest.raises(ModelFormatError, match="at least one tree"):
+        model_from_dict(obj)
+
+
+def test_model_file_nested_past_the_recursion_limit_is_malformed(tmp_path):
+    depth = 100_000  # split nodes, each one level deeper than its parent
+    tree = '{"f": 0, "t": 0.5, "l": ' * depth + '{"v": 1.0}' + ', "r": {"v": 0.0}}' * depth
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format": "argstruct-model", "version": 1, "family": "rforest", '
+        f'"n_features": 1, "params": {{"trees": [{tree}]}}}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        load_model(path)
 
 
 def test_valid_fixtures_load_and_round_trip():
