@@ -69,8 +69,8 @@ MUTATIONS = (
     Mutation(
         "leaf-descent-wrong-block",
         _TREE,
-        "block = np.arange(len(X))[:, None]",
-        "block = np.arange(len(X))[::-1, None]",
+        "start = (np.arange(blocks)[:, None] * rows",
+        "start = (np.arange(blocks)[::-1, None] * rows",
         ("tests/test_tree_builder.py::test_batched_gbt_on_unequal_blocks_matches_single_fits",),
     ),
     Mutation(
@@ -97,9 +97,23 @@ MUTATIONS = (
     Mutation(
         "distinct-rows-key-order",
         _TREE,
-        "np.lexsort(X.T[::-1])",
-        "np.lexsort(X.T)",
+        "np.lexsort(keys[::-1])",
+        "np.lexsort(keys)",
         ("tests/test_tree_builder.py::test_dedup_rows_matches_np_unique_reference",),
+    ),
+    Mutation(
+        "distinct-rows-run-width",
+        _TREE,
+        "KEY_BITS = 52",
+        "KEY_BITS = 64",
+        ("tests/test_tree_builder.py::test_distinct_rows_matches_per_column_oracle",),
+    ),
+    Mutation(
+        "descent-nan-side",
+        _TREE,
+        "node = child[(flat[start + f] <= self.threshold[node]) + 2 * node]",
+        "node = child[1 - (flat[start + f] > self.threshold[node]) + 2 * node]",
+        ("tests/test_tree_builder.py::test_predict_on_non_finite_rows_matches_recursive_builder",),
     ),
     Mutation(
         "linear-no-freeze",

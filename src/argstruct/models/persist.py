@@ -11,8 +11,8 @@ not depend on the in-memory layout.
 
 Loading validates everything it reads: a missing key, a value of the wrong
 type, a feature index outside [0, n_features), a non-finite number, a
-weight vector of the wrong length, a forest with no trees or a file nested
-past the interpreter's recursion limit raises ModelFormatError.
+weight vector of the wrong length, a forest with no trees, a file that is
+not UTF-8 JSON or one nested past the recursion limit raises ModelFormatError.
 """
 
 import json
@@ -206,4 +206,6 @@ def load_model(path):
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError as exc:  # nesting past the interpreter's recursion limit
         raise ModelFormatError(f"model file nested too deeply: {exc}") from None
+    except ValueError as exc:  # not UTF-8 or not JSON, truncated ones among them
+        raise ModelFormatError(f"model file is not UTF-8 JSON: {exc}") from None
     return model_from_dict(obj)

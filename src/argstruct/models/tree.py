@@ -34,13 +34,18 @@ Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
 its root reaches. ``Trees.leaf_values`` descends all trees at once, one step
 per level, over rows in the build's block layout: prediction's distinct rows
 as one block, and in boosting's per-round update the blocks it grew over.
+Each step gathers each (tree, row)'s value from the flat rows and its child
+from one table of (right, left) pairs. ``distinct_rows`` sorts rows on keys:
+a run of up to 52 adjacent 0/1 columns is one key, any other column its own.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 GAIN_EPS = 1e-12
+KEY_BITS = 52  # a run's key is an integer below 2**52, exact in a float
 MIN_SAMPLES_SPLIT = 2
 
 
@@ -119,31 +124,44 @@ class Trees:
         """values[k, i]: the value of the leaf tree k sends row i of its block to,
         for prediction and boosting's per-round update alike. ``X`` is in the
         build's layout (``Blocks.X``): tree k reads block k, or the one block."""
-        block = np.arange(len(X))[:, None]  # one block broadcasts to every tree
-        node = np.repeat(self.roots[:, None], X.shape[1], axis=1)
-        rows = np.arange(X.shape[1])
+        blocks, rows, columns = X.shape
+        # each row's start in the flat X; one block broadcasts to every tree
+        start = (np.arange(blocks)[:, None] * rows + np.arange(rows)) * columns
+        flat = X.reshape(-1)
+        # child[go_left + 2 * i]; intp nodes index without a cast
+        child = np.stack([self.right, self.left], axis=1, dtype=np.intp).reshape(-1)
+        node = np.repeat(self.roots[:, None].astype(np.intp), rows, axis=1)
         while True:
             f = self.feature[node]
             if (f < 0).all():
                 return self.value[node]
-            # leaves read column -1 and stay where they are
-            go_left = X[block, rows, f] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+            # NaN fails <= and goes right. A leaf (feature -1) reads the element
+            # before its row, or the flat X's last, and goes to itself either way
+            node = child[(flat[start + f] <= self.threshold[node]) + 2 * node]
 
 
 def distinct_rows(X):
     """(U, inverse) with X == U[inverse]: predict once per distinct row.
 
-    Row indices are sorted by every column, the first one primary, and
-    neighbours compared one column at a time: U (up to the sign of a zero)
-    and the inverse are those np.unique(X, axis=0) gives, with no copy of X.
+    Row indices are sorted by keys, the first one primary, and neighbours
+    compared one key at a time. A run's key is the integer its 0/1 columns
+    spell, the first column highest, so it orders and compares as the run
+    does: U (up to the sign of a zero) and the inverse are those
+    np.unique(X, axis=0) gives, with no copy of X.
     """
-    order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(len(X))
+    binary = ((X == 0.0) | (X == 1.0)).all(axis=0).tolist()
+    keys, end = [], 0
+    for is_binary, group in groupby(binary):
+        start, end = end, end + len(list(group))
+        for s in range(start, end, KEY_BITS if is_binary else 1):
+            run = X[:, s : min(s + KEY_BITS, end)]
+            keys.append(run @ 2.0 ** np.arange(run.shape[1])[::-1] if is_binary else X[:, s])
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(X))
     first = np.zeros(len(X), dtype=bool)  # first of its group in sorted order
     first[:1] = True
-    for column in X.T:
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
+    for key in keys:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
     inverse = np.empty(len(X), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return X[order[first]], inverse

@@ -123,6 +123,20 @@ def test_model_file_nested_past_the_recursion_limit_is_malformed(tmp_path):
         load_model(path)
 
 
+def test_truncated_model_file_is_malformed(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"format": "argstruct-model",', encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="not UTF-8 JSON"):
+        load_model(path)
+
+
+def test_model_file_that_is_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ModelFormatError, match="not UTF-8 JSON"):
+        load_model(path)
+
+
 def test_valid_fixtures_load_and_round_trip():
     for obj in VALID:
         assert model_to_dict(model_from_dict(obj)) == obj

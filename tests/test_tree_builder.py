@@ -6,7 +6,9 @@ same bits as that builder's one-node-at-a-time prediction. A batch fitted
 by ``fit_each`` must give, problem by problem, the models ``fit`` gives, and
 for lgr and svm the models the one-problem descent loop in ``linear_oracle``
 gives. ``dedup_rows`` must collapse rows exactly as the oracles'
-``np.unique``-based copy does.
+``np.unique``-based copy does, and ``distinct_rows`` give the bits of the
+per-column sort in ``tree_oracle``. Rows holding NaN or inf must score as
+the oracle's descent scores them.
 """
 
 import math
@@ -30,7 +32,7 @@ from argstruct.models import (
     fit_each,
 )
 from argstruct.models.persist import load_model, model_to_dict, save_model
-from argstruct.models.tree import Blocks, gini_gain, grow_trees
+from argstruct.models.tree import Blocks, distinct_rows, gini_gain, grow_trees
 from argstruct.synth import GeneratorConfig, generate
 
 BINARY_VALUES = st.sampled_from([0.0, 1.0])
@@ -77,6 +79,51 @@ def test_dedup_rows_matches_np_unique_reference(kinds, data):
         assert got.dtype == expected.dtype
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def _distinct_rows_cases(width, rng):
+    """Matrices of ``width`` columns whose rows repeat, drawn from a pool: a
+    first row, a random row, and rows that differ from the first only in the
+    last one or two columns before column 52, 53, 54, 104, 105, 106 or the
+    last. The pool is drawn all 0/1, then with some columns holding -0.0 for
+    0, then with some columns continuous or non-finite; also no rows, and
+    one row repeated."""
+    first = (rng.random(width) < 0.5).astype(float)
+    first[::26] = 1.0  # high bits set, so a run key that is not exact collides
+    pool = [first, (rng.random(width) < 0.5).astype(float)]
+    for end in sorted({52, 53, 54, 104, 105, 106, width}):
+        for tail in (1, 2):
+            if tail <= end <= width:
+                row = first.copy()
+                row[end - tail:end] = 1.0 - row[end - tail:end]
+                pool.append(row)
+    pool = np.array(pool)
+    picks = rng.integers(0, len(pool), 40)
+    yield pool[picks]
+    columns = rng.choice(width, size=min(width, 6), replace=False)
+    signed = pool.copy()
+    signed[:, columns] = np.where(pool[:, columns] == 0.0, -0.0, 1.0)
+    yield signed[picks]
+    mixed = pool.copy()
+    mixed[:, columns] = rng.choice([0.0, 1.0, 0.5, 2.0, -0.0, np.nan, np.inf, -np.inf],
+                                   size=(len(pool), len(columns)))
+    yield mixed[picks]
+    yield pool[:0]
+    yield pool[np.zeros(7, dtype=int)]
+
+
+def test_distinct_rows_matches_per_column_oracle():
+    # every width up to 130, so 0/1 runs cross the 52-column key boundary
+    # once and twice, against the per-column sort it replaces, bit for bit
+    rng = np.random.default_rng(15)
+    for width in range(131):
+        for X in _distinct_rows_cases(width, rng):
+            U, inverse = distinct_rows(X)
+            expected_U, expected_inverse = tree_oracle.distinct_rows(X)
+            assert U.shape == expected_U.shape, width
+            assert U.tobytes() == expected_U.tobytes(), width
+            assert inverse.dtype == expected_inverse.dtype
+            assert inverse.tobytes() == expected_inverse.tobytes(), width
 
 
 def _assert_matches_oracle(spec, X, y, expected):
@@ -312,3 +359,24 @@ def test_batched_gbt_on_unequal_blocks_matches_single_fits(subsample, tmp_path):
         save_model(single, alone)
         assert batched.read_bytes() == alone.read_bytes()
         assert model.predict_score(X).tobytes() == single.predict_score(X).tobytes()
+
+
+@pytest.mark.parametrize("family", ["rforest", "gbt"])
+def test_predict_on_non_finite_rows_matches_recursive_builder(family):
+    # NaN fails every <= and goes right at each split, as in the oracle's
+    # descent; +inf goes right and -inf left
+    _, X, y = _corpus_design(15, 60, 40)
+    model = fit(ModelSpec(family, tree_count=25, seed=15), X, y)
+    rng = np.random.default_rng(15)
+    partly = X[:40].copy()
+    partly[rng.random(partly.shape) < 0.3] = np.nan
+    signed_inf = np.where(rng.random(X[:40].shape) < 0.5, np.inf, -np.inf)
+    rows = np.vstack([
+        np.full((3, X.shape[1]), np.nan),
+        partly,
+        np.full((1, X.shape[1]), np.inf),
+        np.full((1, X.shape[1]), -np.inf),
+        np.where(rng.random(X[:40].shape) < 0.3, signed_inf, X[:40]),
+    ])
+    expected = tree_oracle.scores(model_to_dict(model), rows)
+    assert model.predict_score(rows).tobytes() == expected.tobytes()

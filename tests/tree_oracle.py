@@ -5,7 +5,9 @@ one-node-per-call implementation, with the split gains it used. ``forest_dict`` 
 them the way the forest and boosting models did and return the model in the
 persisted dict layout, so a test can compare it with ``model_to_dict`` of a
 model the library fitted; ``scores`` predicts from such a dict the way those
-models did, one tree and one node at a time.
+models did, one tree and one node at a time. ``distinct_rows`` is the
+per-column sort and neighbour comparison prediction used before its 0/1
+columns were keyed in runs.
 """
 
 import math
@@ -311,3 +313,21 @@ def scores(obj, X) -> np.ndarray:
     for root in trees:
         F += obj["params"]["shrinkage"] * predict_tree(root, X)
     return sigmoid(F)
+
+
+def distinct_rows(X):
+    """(U, inverse) with X == U[inverse]: predict once per distinct row.
+
+    Row indices are sorted by every column, the first one primary, and
+    neighbours compared one column at a time: U (up to the sign of a zero)
+    and the inverse are those np.unique(X, axis=0) gives, with no copy of X.
+    """
+    order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(len(X))
+    first = np.zeros(len(X), dtype=bool)  # first of its group in sorted order
+    first[:1] = True
+    for column in X.T:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return X[order[first]], inverse
