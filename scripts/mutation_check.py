@@ -160,10 +160,17 @@ MUTATIONS = (
     Mutation(
         "no-duplicate-id-check",
         _DATA,
-        "            if msg_id in lines_of:",
-        "            if False:",
+        "if (j := first.setdefault(d.ids[i], i)) != i:",
+        "if (j := first.setdefault(d.ids[i], i)) != i and False:",
         ("tests/test_data.py::test_repeated_id_is_rejected_on_the_later_line",
          "tests/test_cli.py::test_bad_input_exits_with_documented_code"),
+    ),
+    Mutation(
+        "duplicate-id-against-rejected-records",
+        _DATA,
+        "for i in np.flatnonzero(accepted).tolist():",
+        "for i in range(len(d)):",
+        ("tests/test_data.py::test_repeated_id_of_a_skipped_record_is_accepted",),
     ),
     Mutation(
         "scan-never-taken",
@@ -175,38 +182,33 @@ MUTATIONS = (
     Mutation(
         "scan-record-spans-lines",
         _DATA,
-        'text.find("\\n", start, end) != -1',
-        "False",
+        'text.find("\\n", start) % (n + 1)',
+        'text.find("\\n", end) % (n + 1)',
         (f"{_CHANGED_LINE}[spans-two-lines-0]",),
     ),
     Mutation(
         "scan-any-character-after-record",
         _DATA,
-        'end < n and text[end] != "\\n"',
-        "False",
+        'end != line_end and text[end:line_end] != "\\r"',
+        "end > line_end",
         (f"{_CHANGED_LINE}[two-records-on-a-line-0]",),
     ),
     Mutation(
-        "scan-no-duplicate-id-fallback",
+        "partial-annotation-never-warns",
         _DATA,
-        "len(set(ids)) != len(ids)",
-        "False",
-        (f"{_CHANGED_LINE}[duplicate-id-0]",),
-    ),
-    Mutation(
-        "scan-no-partial-annotation-fallback",
-        _DATA,
-        "(np.repeat(label, sizes).astype(bool) & (hate == UNANNOTATED)).any()",
-        "False",
-        (f"{_CHANGED_LINE}[partial-annotation-0]",),
+        "(per_record(d.hate == UNANNOTATED) > 0)",
+        "(per_record(d.hate == UNANNOTATED) < 0)",
+        ("tests/test_data.py::test_unannotated_in_hateful_message_warns",
+         "tests/test_data.py::test_validate_message_matches_object_oracle"),
     ),
     Mutation(
         "scan-no-role-layout-check",
         _DATA,
-        "min(sizes) < 2 or conclusions.sum() != len(ids) or not conclusions[offsets[1:] - 1].all()",
-        "False",
-        (f"{_CHANGED_LINE}[no-premise-0]", f"{_CHANGED_LINE}[two-conclusions-0]",
-         f"{_CHANGED_LINE}[conclusion-first-0]"),
+        "np.select([rule[1] for rule in rules], range(1, len(rules) + 1))",
+        "np.select([rule[1] & False for rule in rules], range(1, len(rules) + 1))",
+        ("tests/test_data.py::test_no_premise_rejected",
+         "tests/test_data.py::test_multiple_conclusions_rejected",
+         "tests/test_data.py::test_conclusion_not_last_rejected"),
     ),
     Mutation(
         "premise-std-pairwise",
@@ -228,6 +230,20 @@ MUTATIONS = (
         "        score_rows = inner.test_indices(i)",
         "        score_rows = inner.train_indices(i)",
         ("tests/test_experiment.py::test_inner_cv_never_scores_a_row_with_a_model_fitted_on_it",),
+    ),
+    Mutation(
+        "stage1-fits-all-rows",
+        "src/argstruct/experiment.py",
+        "stage1 = fit_each(model_spec, [(X1[t], y[t]) for t in trains])",
+        "stage1 = fit_each(model_spec, [(X1, y) for t in trains])",
+        ("tests/test_experiment.py::test_two_stage_never_trains_stage1_on_test_rows",),
+    ),
+    Mutation(  # the inner folds move, and only the pinned bytes show it
+        "inner-cv-seed-moved",
+        "src/argstruct/experiment.py",
+        "    return seed * 1000003 + fold + 1",
+        "    return seed * 1000003 + fold + 2",
+        ("tests/test_report_bytes.py::test_grid_report_and_model_bytes_are_pinned",),
     ),
 )
 

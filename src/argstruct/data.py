@@ -20,19 +20,17 @@ Interchange format: one JSON object per line, UTF-8::
 is a string or an integer (read as its decimal string), and no two messages
 share one; ``text`` is a string or null.
 
-Parsing a path or bytes reads the bytes once, decodes them as UTF-8 once and
-walks the text with the json module's C scanner, the one ``json.loads`` uses.
-Each record must start at the first character of its line and end just
-before its ``"\n"`` or at the end of the text. Checks over all records then
-require string ids that are unique, messages of premises then one conclusion,
-texts that are strings or null, and no hateful message with an unannotated
-component. On any miss (a UTF-8 or scanner error, any error in a record, an
-integer id, a CRLF line end, a blank line, whitespace around a record, a
-failed check, an empty file) the per-line loop parses the same bytes; it
-alone reports errors, warnings and skipped records, and it is the only path
-for an iterable of lines. Nesting within a few levels of the interpreter's
-recursion limit, where either path's outcome already depends on the caller's
-stack depth, is the one input the two may judge differently.
+Parsing a path or bytes decodes it as UTF-8 once and walks the text with
+the json module's C scanner, the one ``json.loads`` uses. The per-line loop,
+the only path for an iterable of lines, takes the same bytes when the scan
+cannot decode a record (invalid UTF-8 or JSON, a key, value or type the
+format does not allow, an integer id) or the text is not one record to a
+line (a record spans lines, a line is blank, or whitespace or another record
+shares a record's line; a CRLF line end is fine). Both paths judge their
+records with one check of the record rules. Nesting within a few levels of
+the interpreter's recursion limit, where either path's outcome already
+depends on the caller's stack depth, is the one input the two may judge
+differently.
 """
 
 import io
@@ -163,32 +161,45 @@ class Message:
         raise ValidationError("NO_CONCLUSION", self.id)
 
 
-def _check_roles(msg_id, roles: list, positions=None) -> None:
-    """Raise ValidationError unless the role codes ``roles`` lay out a message.
-    ``positions`` is checked when given; a parsed message's are its indices."""
-    n_conclusions = roles.count(CONCLUSION)
-    if not n_conclusions:
-        raise ValidationError("NO_CONCLUSION", msg_id)
-    if n_conclusions > 1:
-        raise ValidationError("MULTIPLE_CONCLUSIONS", msg_id, f"found {n_conclusions}")
-    if len(roles) == 1:
-        raise ValidationError("NO_PREMISE", msg_id)
-    if positions is not None and positions != list(range(len(roles))):
-        raise ValidationError("NON_CONTIGUOUS_POSITIONS", msg_id, f"positions {positions}")
-    if roles[-1] != CONCLUSION:
-        raise ValidationError("CONCLUSION_NOT_LAST", msg_id)
+def _record_rules(d: "Dataset", lines=None, positions=None):
+    """The record rules over the unchecked records of ``d``: each record's first
+    broken rule, in the order of ``rules`` and then, given each record's
+    ``lines``, DUPLICATE_ID against the earlier accepted records. An accepted
+    hateful message with an unannotated component warns. Returns {record:
+    ValidationError} and {record: PartialAnnotationWarning}, in line order."""
+    sizes, record_of = np.diff(d.offsets), d.message_of
+    index = np.arange(len(d.role)) - d.offsets[record_of]  # within its record
 
+    def per_record(mask):
+        return np.bincount(record_of[mask], minlength=len(d))
 
-def _warn_if_partial(msg_id, label: int, hates: list, stacklevel: int) -> None:
-    """Warn if a hateful message has unannotated components; ``stacklevel``
-    is the warning's, counted from the caller."""
-    if label == LABEL_CODES[MessageLabel.HATEFUL] and UNANNOTATED in hates:
-        warnings.warn(
-            PartialAnnotationWarning(
-                f"hateful message {msg_id!r} has unannotated components (treated as 0)"
-            ),
-            stacklevel=stacklevel + 1,
-        )
+    conclusions = sizes - d.premise_counts
+    last = per_record((d.role == CONCLUSION) & (index == sizes[record_of] - 1)) > 0
+    moved = positions is not None and per_record(np.asarray(positions) != index) > 0
+    rules = (  # (code, broken, detail); NON_CONTIGUOUS_POSITIONS needs ``positions``
+        ("NO_CONCLUSION", conclusions == 0, ""),
+        ("MULTIPLE_CONCLUSIONS", conclusions > 1, "found {n}"),
+        ("NO_PREMISE", sizes == 1, ""),
+        ("NON_CONTIGUOUS_POSITIONS", moved, "positions {positions}"),
+        ("CONCLUSION_NOT_LAST", ~last, ""),
+    )
+    broken = np.select([rule[1] for rule in rules], range(1, len(rules) + 1))
+    errors = {}
+    for i in np.flatnonzero(broken).tolist():
+        code, _, detail = rules[broken[i] - 1]
+        own = positions[d.offsets[i]:d.offsets[i + 1]] if positions is not None else None
+        errors[i] = ValidationError(code, d.ids[i], detail.format(n=conclusions[i], positions=own))
+    accepted = broken == 0
+    if lines is not None and len(set(d.ids)) < len(d):  # some id repeats
+        first: dict = {}  # each id's first accepted record
+        for i in np.flatnonzero(accepted).tolist():
+            if (j := first.setdefault(d.ids[i], i)) != i:
+                detail = f"line {lines[j]} has the same id"
+                errors[i], accepted[i] = ValidationError("DUPLICATE_ID", d.ids[i], detail), False
+    partial = accepted & d.label.astype(bool) & (per_record(d.hate == UNANNOTATED) > 0)
+    text = "hateful message {!r} has unannotated components (treated as 0)"
+    warns = {i: PartialAnnotationWarning(text.format(d.ids[i])) for i in np.flatnonzero(partial)}
+    return dict(sorted(errors.items())), warns
 
 
 def validate_message(m: Message) -> None:
@@ -198,12 +209,8 @@ def validate_message(m: Message) -> None:
     position, contiguous 0-based positions. A hateful message containing
     unannotated components is accepted with a PartialAnnotationWarning.
     """
-    _check_roles(
-        m.id, [ROLE_CODES[c.role] for c in m.components], [c.position for c in m.components]
-    )
-    _warn_if_partial(
-        m.id, LABEL_CODES[m.label], [HATE_CODES[c.hate] for c in m.components], stacklevel=2
-    )
+    for warning in _record_rules(Dataset.from_messages((m,)))[1].values():
+        warnings.warn(warning, stacklevel=2)
 
 
 _COLUMN_TYPES = {"label": np.int8, "offsets": np.intp, "role": np.int8, "cw": np.int8,
@@ -240,12 +247,10 @@ class Dataset:
 
     @classmethod
     def from_messages(cls, messages: Iterable[Message]) -> "Dataset":
-        """Raises ValidationError for a message that is not premises, then one conclusion."""
+        """Raises the ValidationError of the first message ``validate_message`` rejects."""
         messages = tuple(messages)
-        for m in messages:
-            _check_roles(m.id, [ROLE_CODES[c.role] for c in m.components])
         components = [c for m in messages for c in m.components]
-        return cls(
+        d = cls(
             ids=[m.id for m in messages],
             label=[LABEL_CODES[m.label] for m in messages],
             offsets=np.cumsum([0] + [len(m.components) for m in messages]),
@@ -254,6 +259,10 @@ class Dataset:
             hate=[HATE_CODES[c.hate] for c in components],
             texts=[c.text for c in components],
         )
+        errors, _ = _record_rules(d, positions=[c.position for c in components])
+        if errors:
+            raise next(iter(errors.values()))
+        return d
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -365,17 +374,17 @@ _TRIPLE_CODES = np.array(
 
 
 def _scan_dataset(text: str) -> Dataset | None:
-    """The Dataset of ``text`` from one scan, or None when any record is one
-    the per-line loop of ``parse_dataset`` must judge."""
+    """The records of ``text`` from one scan, unchecked, or None when one is a
+    record only the per-line loop of ``parse_dataset`` decodes."""
     ids, labels, sizes, rows, texts = [], [], [], [], []
     scan, row_of, label_of = _SCAN, _TRIPLE_ROW, _LABEL_VALUES
     start, n = 0, len(text)
     try:
         while start < n:
             record, end = scan(text, start)
-            if text.find("\n", start, end) != -1:  # the record spans lines
-                return None
-            if end < n and text[end] != "\n":  # more follows the record on its line
+            line_end = text.find("\n", start) % (n + 1)  # n on a last line with no "\n"
+            # the record fills its line, up to the "\r" json.loads skips in a CRLF
+            if end != line_end and text[end:line_end] != "\r":
                 return None
             components = record["components"]
             ids.append(record["id"])
@@ -384,24 +393,15 @@ def _scan_dataset(text: str) -> Dataset | None:
             for c in components:
                 rows.append(row_of[c["role"], c["cw"], c.get("hate")])
                 texts.append(c.get("text"))
-            start = end + 1
+            start = line_end + 1
     # no JSON value (StopIteration), invalid JSON, or a record that is no plain message
     except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
         return None
-    if set(map(type, ids)) != {str} or not set(map(type, texts)) <= {str, type(None)}:
-        return None
-    if len(set(ids)) != len(ids):  # a duplicate id
+    if not set(map(type, ids)) <= {str} or not set(map(type, texts)) <= {str, type(None)}:
         return None
     role, cw, hate = _TRIPLE_CODES[rows].T
-    label = np.array(labels, dtype=np.int8)
-    offsets = np.cumsum([0] + sizes)
-    # premises, then one conclusion: one conclusion per message, at its end
-    conclusions = role == CONCLUSION
-    if min(sizes) < 2 or conclusions.sum() != len(ids) or not conclusions[offsets[1:] - 1].all():
-        return None
-    if (np.repeat(label, sizes).astype(bool) & (hate == UNANNOTATED)).any():  # it would warn
-        return None
-    return Dataset(ids=ids, label=label, offsets=offsets, role=role, cw=cw, hate=hate, texts=texts)
+    return Dataset(ids=ids, label=labels, offsets=np.cumsum([0] + sizes), role=role, cw=cw,
+                   hate=hate, texts=texts)
 
 
 @dataclass(frozen=True)
@@ -428,6 +428,31 @@ def _iter_lines(source) -> Iterator[str | bytes]:
         raise TypeError(f"unsupported dataset source: {type(source)!r}")
 
 
+def _checked(dataset: Dataset, lines, issues: list, strict: bool) -> ParseResult:
+    """The ParseResult of the decoded records ``dataset``, on ``lines``, and of
+    ``issues``, the lines that did not decode; strict mode raises the first issue."""
+    errors, warns = _record_rules(dataset, lines)
+    issues = sorted(issues + [RecordIssue(lines[i], e) for i, e in errors.items()],
+                    key=lambda issue: issue.line_no)
+    end = issues[0].line_no if strict and issues else math.inf  # warn only before it
+    for warning in (w for i, w in warns.items() if lines[i] < end):
+        warnings.warn(warning, stacklevel=2)
+    if strict and issues:
+        raise issues[0].error
+    if len(errors) == len(dataset):
+        raise EmptyDatasetError("no valid messages in input", tuple(issues))
+    if errors:
+        keep = np.isin(np.arange(len(dataset)), list(errors), invert=True)
+        rows = keep[dataset.message_of]
+        dataset = Dataset(
+            ids=itertools.compress(dataset.ids, keep), label=dataset.label[keep],
+            offsets=np.append(0, np.cumsum(np.diff(dataset.offsets)[keep])),
+            role=dataset.role[rows], cw=dataset.cw[rows], hate=dataset.hate[rows],
+            texts=itertools.compress(dataset.texts, rows),
+        )
+    return ParseResult(dataset, tuple(issues))
+
+
 def parse_dataset(source, strict: bool = True) -> ParseResult:
     """Parse line-delimited message records into a validated Dataset.
 
@@ -436,8 +461,8 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
     are skipped and reported in ``ParseResult.skipped``; a line that is not
     UTF-8 is malformed, and so is a record whose id an earlier record has.
     Blank lines are ignored. Raises EmptyDatasetError when no valid message
-    remains. A path or bytes whose records are all valid, one to a line, is
-    parsed in one scan of its text; see the module docstring.
+    remains. A path or bytes whose records each fill one line is parsed in
+    one scan of its text; see the module docstring.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -451,13 +476,11 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
             source = None  # the scan holds the text alone
             dataset = _scan_dataset(text)
             if dataset is not None:
-                return ParseResult(dataset, ())
+                return _checked(dataset, range(1, len(dataset) + 1), [], strict)
             source = text.encode("utf-8")  # the same bytes again, for the per-line loop
             del text
-    columns = {name: [] for name in ("label", "role", "cw", "hate", "texts")}
-    lines_of: dict[str, int] = {}  # each accepted id's line
-    sizes: list[int] = []
-    skipped: list[RecordIssue] = []
+    columns = {name: [] for name in ("ids", "label", "role", "cw", "hate", "texts")}
+    sizes, lines, issues = [], [], []
     for line_no, line in enumerate(_iter_lines(source), start=1):
         try:
             try:
@@ -476,29 +499,15 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")
-            msg_id, label, roles, cws, hates, texts = _record_codes(record, line_no)
-            _check_roles(msg_id, roles)
-            if msg_id in lines_of:
-                raise ValidationError(
-                    "DUPLICATE_ID", msg_id, f"line {lines_of[msg_id]} has the same id"
-                )
-            _warn_if_partial(msg_id, label, hates, stacklevel=1)
-        except (MalformedRecordError, ValidationError) as exc:
-            if strict:
-                raise
-            skipped.append(RecordIssue(line_no, exc))
+            msg_id, label, *components = _record_codes(record, line_no)
+        except MalformedRecordError as exc:
+            issues.append(RecordIssue(line_no, exc))
             continue
-        lines_of[msg_id] = line_no
-        sizes.append(len(roles))
-        columns["label"].append(label)
-        columns["role"] += roles
-        columns["cw"] += cws
-        columns["hate"] += hates
-        columns["texts"] += texts
-    if not sizes:
-        raise EmptyDatasetError("no valid messages in input", tuple(skipped))
-    dataset = Dataset(ids=tuple(lines_of), offsets=np.cumsum([0] + sizes), **columns)
-    return ParseResult(dataset, tuple(skipped))
+        lines.append(line_no)
+        sizes.append(len(components[0]))
+        for column, values in zip(columns.values(), ([msg_id], [label], *components)):
+            column.extend(values)
+    return _checked(Dataset(offsets=np.cumsum([0] + sizes), **columns), lines, issues, strict)
 
 
 def load_dataset(path, strict: bool = True) -> Dataset:

@@ -75,14 +75,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FoldOutcome:
-    """Per-fold evaluation record, kept for leakage and equivalence checks."""
+    """Per-fold evaluation record, kept for equivalence checks."""
 
     fold: int
     test_indices: np.ndarray = field(repr=False)
     scores: np.ndarray = field(repr=False)
     predictions: np.ndarray = field(repr=False)
     metrics: MetricSet
-    stage1_train_indices: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -188,21 +187,12 @@ def run_cell_detailed(
     if enc.family in stage1:
         stage1[enc.family] = fitted
     outcomes = []
-    for fold, (X, train, model) in enumerate(zip(designs, trains, fitted)):
+    for fold, (X, model) in enumerate(zip(designs, fitted)):
         test = folds.test_indices(fold)
         scores = model.predict_score(X[test])
         predictions = threshold(scores)
         metrics = macro_metrics(confusion(predictions, y[test].astype(int)))
-        outcomes.append(
-            FoldOutcome(
-                fold=fold,
-                test_indices=test,
-                scores=scores,
-                predictions=predictions,
-                metrics=metrics,
-                stage1_train_indices=train if enc.two_stage else None,
-            )
-        )
+        outcomes.append(FoldOutcome(fold, test, scores, predictions, metrics))
     return outcomes
 
 

@@ -250,6 +250,15 @@ def test_repeated_id_is_rejected_on_the_later_line():
     assert [issue.line_no for issue in result.skipped] == [3]
 
 
+def test_repeated_id_of_a_skipped_record_is_accepted():
+    """DUPLICATE_ID looks only at the earlier accepted records, on either path."""
+    lines = _lines(dict(RECORD, components=RECORD["components"][1:]), RECORD).splitlines()
+    for source in (lines, "\n".join(lines).encode()):
+        result = parse_dataset(source, strict=False)
+        assert result.dataset.ids == ("a",)
+        assert [(i.line_no, i.error.code) for i in result.skipped] == [(1, "NO_PREMISE")]
+
+
 def test_corpus_sized_file_class_counts(tmp_path, table1_dataset):
     path = tmp_path / "corpus.jsonl"
     write_dataset(table1_dataset, path)
@@ -294,6 +303,18 @@ def test_stats_single_message():
     report = dataset_stats(d)
     assert report.premise_capacity == 1
     assert report.n_components == 2
+
+
+def test_from_messages_raises_what_validate_message_raises():
+    good = make_message("a")
+    moved = dataclasses.replace(good.components[-1], position=5)
+    bad = dataclasses.replace(good, id="b", components=(*good.components[:-1], moved))
+    with pytest.raises(ValidationError) as expected:
+        validate_message(bad)
+    with pytest.raises(ValidationError) as err:
+        Dataset.from_messages((good, bad, bad))
+    assert (err.value.code, str(err.value)) == (expected.value.code, str(expected.value))
+    assert err.value.code == "NON_CONTIGUOUS_POSITIONS"
 
 
 def test_stats_empty_dataset_raises():
@@ -577,13 +598,20 @@ _VARIANTS = {
 }
 
 
+_SCANNED_VARIANTS = {
+    "hate-unannotated", "crlf", "duplicate-id", "partial-annotation", "no-premise",
+    "two-conclusions", "conclusion-first", "no-conclusion",
+}
+
+
 @pytest.mark.parametrize("where", [0, 5, -1])
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
 def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkeypatch):
     """With one line changed, the result, error text, warnings and skipped
     records of a bytes source equal those of the same lines as an iterable,
-    in strict and lenient mode; every change but a valid value sends the
-    bytes to the per-line loop."""
+    in strict and lenient mode. The one scan keeps a record that decodes:
+    a valid value, a CRLF line end, or a record that breaks a rule or warns.
+    Every other change sends the bytes to the per-line loop."""
     lines = _synth_bytes("table1", 11 + where, with_texts=True).split(b"\n")[:-1]
     lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
     raw = b"\n".join(lines) + b"\n"
@@ -597,4 +625,4 @@ def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkey
 
     monkeypatch.setattr(data, "_iter_lines", recorded)
     assert [_per_line_outcome(raw, strict) for strict in (True, False)] == expected
-    assert sources == ([] if variant == "hate-unannotated" else [raw, raw])
+    assert sources == ([] if variant in _SCANNED_VARIANTS else [raw, raw])

@@ -22,7 +22,8 @@ from argstruct.experiment import (
     run_cell_detailed,
     run_grid,
 )
-from argstruct.models import ModelSpec, SingleClassError, fit, threshold
+from argstruct.models import ModelSpec, SingleClassError, fit, fit_each, threshold
+from argstruct.models.persist import model_to_dict
 from argstruct.synth import GeneratorConfig, generate
 from messages import make_message
 
@@ -193,8 +194,6 @@ def test_shared_fits_match_standalone_cells(
         assert len(outcomes) == len(alone)
         for shared, own in zip(outcomes, alone):
             assert shared.scores.tobytes() == own.scores.tobytes()
-            if enc.two_stage:
-                assert np.array_equal(shared.stage1_train_indices, own.stage1_train_indices)
 
 
 def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset):
@@ -320,22 +319,43 @@ def test_separable_learning_quick(separable_dataset):
         assert all(m.f1 >= 0.95 for m in metrics)
 
 
-def test_two_stage_never_trains_stage1_on_test_rows(tiny_dataset):
+def _recorded_fits(monkeypatch) -> list:
+    """Each later ``fit_each`` call of the experiment module, as its list of models."""
+    calls = []
+
+    def recording(spec, problems):
+        calls.append(fit_each(spec, problems))
+        return calls[-1]
+
+    monkeypatch.setattr(experiment, "fit_each", recording)
+    return calls
+
+
+def test_two_stage_never_trains_stage1_on_test_rows(tiny_dataset, monkeypatch):
+    """Flipping the labels of one fold's test messages leaves that fold's
+    stage-1 models unchanged, in-sample and under inner CV; another fold's
+    stage-1 model, which trains on those messages, changes."""
     folds = stratified_kfold(tiny_dataset.labels(), 4, seed=0)
     enc = EncodingSpec("arg-str-c-given-p", tiny_dataset.premise_capacity)
+    fold, other = 1, 2
+    label = tiny_dataset.label.copy()
+    label[folds.test_indices(fold)] ^= 1
+    flipped = replace(tiny_dataset, label=label)
     for inner_cv in (False, True):
-        outcomes = run_cell_detailed(
-            tiny_dataset, enc, ModelSpec("lgr"), folds, inner_cv=inner_cv
-        )
-        for o in outcomes:
-            assert o.stage1_train_indices is not None
-            overlap = set(o.stage1_train_indices) & set(o.test_indices)
-            assert not overlap
+        stage1 = []
+        for dataset in (tiny_dataset, flipped):
+            calls = _recorded_fits(monkeypatch)
+            run_cell_detailed(dataset, enc, ModelSpec("lgr"), folds, inner_cv=inner_cv)
+            # the first call fits stage 1, one problem per fold; under inner CV
+            # the next k calls fit each fold's inner models
+            models = [calls[0][fold], *(calls[1 + fold] if inner_cv else ()), calls[0][other]]
+            stage1.append([json.dumps(model_to_dict(m)) for m in models])
+        assert stage1[0][:-1] == stage1[1][:-1]
+        assert stage1[0][-1] != stage1[1][-1]
 
 
 def _per_fold_reference(dataset, enc, spec, folds, inner_cv, hard_stage1, seed):
-    """(held-out scores, stage-1 training rows) of each fold, fitted one
-    model at a time with ``fit``."""
+    """The held-out scores of each fold, fitted one model at a time with ``fit``."""
     y = np.asarray(dataset.labels(), dtype=float)
     X1 = design_matrices(dataset, [enc.family])[stage_one_spec(enc).family]
     expected = []
@@ -358,7 +378,7 @@ def _per_fold_reference(dataset, enc, spec, folds, inner_cv, hard_stage1, seed):
         all_scores = np.zeros(len(dataset))
         all_scores[train], all_scores[test] = train_scores, test_scores
         X = encode_dataset(dataset, enc, stage1_scores=all_scores)
-        expected.append((fit(spec, X[train], y[train]).predict_score(X[test]), train))
+        expected.append(fit(spec, X[train], y[train]).predict_score(X[test]))
     return expected
 
 
@@ -373,9 +393,8 @@ def test_two_stage_cell_matches_fold_by_fold_fits(tiny_dataset, inner_cv, hard_s
         )
         expected = _per_fold_reference(tiny_dataset, enc, spec, folds, inner_cv, hard_stage1, 2)
         assert len(outcomes) == len(expected)
-        for outcome, (scores, train) in zip(outcomes, expected):
+        for outcome, scores in zip(outcomes, expected):
             assert outcome.scores.tobytes() == scores.tobytes()
-            assert np.array_equal(outcome.stage1_train_indices, train)
 
 
 def test_two_stage_cw_uses_conclusion_block(tiny_dataset):

@@ -1,0 +1,89 @@
+"""The bytes of the corpus-shaped grid, pinned by sha256.
+
+The seed-501 corpus (227 hateful, 136 non-hateful ``table1`` messages) runs
+the paper's 8 x 4 x 5 grid with seed 501, once serially in the default mode
+and once at default jobs with ``--inner-cv``. The digests pin each run's
+markdown, csv and json reports, and every fold fit of the default run through
+``model_to_dict``, one digest per family over its fits in grid order.
+
+Float sums go through BLAS, so another numpy or BLAS build may move a digest
+with no change to the code. The failure names each digest that moved, and
+the numpy and BLAS versions of the run. To re-pin after a change that means
+to move bytes, copy ``_digests(pytest.MonkeyPatch())`` into ``PINNED``.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import numpy as np
+
+import argstruct.experiment as experiment
+from argstruct.experiment import ExperimentConfig, emit_report, run_grid
+from argstruct.models import fit_each
+from argstruct.models.persist import model_to_dict
+from argstruct.synth import GeneratorConfig, generate
+
+PINNED = {
+    "default/markdown":
+        "b4563729066a8b59a7a0eeeab1f7f4f18e81a5e8540ba061ef3c3084897d1876",
+    "default/csv":
+        "d85431939c064c20f1269129a75645b69f7b8a4c7c2ee019a5b81ed2d044ae7d",
+    "default/json":
+        "183f2b5ae1e033a00a6137c3ed75098f52f88bd64103d8c63ec609a9bac2503d",
+    "inner-cv/markdown":
+        "c2b872088b89b0a720a5e32d1510a79143519478763eba768263b330afe8360b",
+    "inner-cv/csv":
+        "98cc146bde241afe7f79589ae442114b08e03231fdd40422f45e5e4263e61e0a",
+    "inner-cv/json":
+        "fdeb729f28ad3b972a25fba52228e1124e14ab55b52c463e4be804d18f0e433a",
+    "default/models/gbt (40 fits)":
+        "ceaef7f343fbcc7ccf94e52cd7a2535bc52532e3608cb419fd795003115cccec",
+    "default/models/lgr (40 fits)":
+        "c5b4dcbf2afd76fc9fd6706d68649907e09af9bb8f7640a1ed7afa17e63039b4",
+    "default/models/rforest (40 fits)":
+        "6d55f4c939ca47ccdae760823fc8f784c9c6ad98ece99fbaa8b3d2c51adb1017",
+    "default/models/svm (40 fits)":
+        "19928344527305c21c8437db469b9da40068e28f867bbd7b41c8f1a29344d729",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digests(monkeypatch) -> dict:
+    dataset = generate(GeneratorConfig(mode="table1", n_hateful=227, n_nonhateful=136, seed=501))
+    fits: dict = {}
+
+    def recording(spec, problems):
+        models = fit_each(spec, problems)
+        fits.setdefault(spec.family, []).extend(models)
+        return models
+
+    monkeypatch.setattr(experiment, "fit_each", recording)
+    cfg = ExperimentConfig(seed=501)
+    reports = {"default": run_grid(dataset, replace(cfg, jobs=1))}
+    monkeypatch.undo()
+    reports["inner-cv"] = run_grid(dataset, replace(cfg, inner_cv=True))
+    digests = {
+        f"{mode}/{fmt}": _sha256(emit_report(report, fmt))
+        for mode, report in reports.items() for fmt in ("markdown", "csv", "json")
+    }
+    for family, models in sorted(fits.items()):
+        dumps = "".join(json.dumps(model_to_dict(m)) + "\n" for m in models)
+        digests[f"default/models/{family} ({len(models)} fits)"] = _sha256(dumps)
+    return digests
+
+
+def _versions() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration given')})")
+
+
+def test_grid_report_and_model_bytes_are_pinned(monkeypatch):
+    got = _digests(monkeypatch)
+    moved = [name for name in sorted(PINNED.keys() | got.keys())
+             if PINNED.get(name) != got.get(name)]
+    assert not moved, f"digests moved: {moved}; ran on {_versions()}"
