@@ -42,6 +42,10 @@ _LINEAR = "src/argstruct/models/linear.py"
 _DATA = "src/argstruct/data.py"
 _ENCODINGS = "src/argstruct/encodings.py"
 _CHANGED_LINE = "tests/test_data.py::test_one_scan_matches_per_line_loop_on_a_changed_line"
+_MIDDLE_BLOCK = (
+    "tests/test_data.py::test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block"
+)
+_ROW_CHUNKS = "tests/test_tree_builder.py::test_predict_in_row_chunks_matches_recursive_builder"
 
 MUTATIONS = (
     Mutation(
@@ -95,6 +99,20 @@ MUTATIONS = (
         ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
     ),
     Mutation(
+        "predict-chunk-drops-a-row",
+        _TREE,
+        "slice(start, start + PREDICT_ROWS)",
+        "slice(start, start + PREDICT_ROWS - 1)",
+        (f"{_ROW_CHUNKS}[rforest]", f"{_ROW_CHUNKS}[gbt]"),
+    ),
+    Mutation(
+        "distinct-rows-check-drops-a-row",
+        _TREE,
+        "rows = X[start : start + CHECK_ROWS]",
+        "rows = X[start : start + CHECK_ROWS - 1]",
+        ("tests/test_tree_builder.py::test_distinct_rows_checks_every_row_for_0_1_columns",),
+    ),
+    Mutation(
         "distinct-rows-key-order",
         _TREE,
         "np.lexsort(keys[::-1])",
@@ -139,9 +157,16 @@ MUTATIONS = (
     Mutation(
         "encode-no-c-order",
         _ENCODINGS,
-        "return np.ascontiguousarray(np.concatenate(blocks, axis=1, dtype=float))",
-        "return np.concatenate(blocks, axis=1, dtype=float)",
+        "X = np.zeros((n, spec.length))",
+        'X = np.zeros((n, spec.length), order="F")',
         ("tests/test_encodings.py::test_encode_dataset_matches_oracle",),
+    ),
+    Mutation(
+        "encode-chunk-drops-a-row",
+        _ENCODINGS,
+        "stop = start + ENCODE_ROWS",
+        "stop = start + ENCODE_ROWS - 1",
+        ("tests/test_encodings.py::test_encode_dataset_in_chunks_matches_oracle",),
     ),
     Mutation(
         "error-not-data-error",
@@ -175,9 +200,31 @@ MUTATIONS = (
     Mutation(
         "scan-never-taken",
         _DATA,
-        "            dataset = _scan_dataset(text)",
-        "            dataset = None",
+        '            columns = _scan_dataset(block.decode("utf-8"))',
+        "            columns = None",
         ("tests/test_data.py::test_one_scan_parses_generated_files_as_the_per_line_loop",),
+    ),
+    Mutation(
+        "block-line-numbers-not-carried",
+        _DATA,
+        "line_no += count",
+        "line_no += 0",
+        (f"{_MIDDLE_BLOCK}[not-an-object]",),
+    ),
+    Mutation(  # a source such as a pipe can be read once
+        "parse-reads-a-path-twice",
+        _DATA,
+        '        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:',
+        '        open(source, "rb").read() if not isinstance(source, bytes) else None\n'
+        '        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:',
+        ("tests/test_data.py::test_a_pipe_parses_as_its_file_in_one_read",),
+    ),
+    Mutation(
+        "duplicate-id-hash-check-skipped",
+        _DATA,
+        "(hashes[1:] == hashes[:-1]).any()",
+        "False",
+        ("tests/test_data.py::test_repeated_id_is_rejected_on_the_later_line",),
     ),
     Mutation(
         "scan-record-spans-lines",
@@ -220,8 +267,8 @@ MUTATIONS = (
     Mutation(
         "premise-slot-off-by-one",
         _ENCODINGS,
-        "slot[premise] = (before[:-1] - before[d.offsets[:-1]][d.message_of])[premise]",
-        "slot[premise] = (before[1:] - before[d.offsets[:-1]][d.message_of])[premise]",
+        "slot[premise] = (before[:-1] - before[bounds[:-1] - first][message])[premise]",
+        "slot[premise] = (before[1:] - before[bounds[:-1] - first][message])[premise]",
         ("tests/test_encodings.py::test_encode_dataset_matches_oracle",),
     ),
     Mutation(
@@ -256,12 +303,29 @@ MUTATIONS = (
 # learning rate 5.0 and L2 0.003, and log-loss svm at learning rate 5.0 (the
 # last two stop before max_iter): 5,200 fits, each with the same weight and
 # bias bits under either sum.
+#
+# Encoding and prediction write each chunk's rows and add nothing to them, so
+# a row that two chunks hold gets the same values twice.
 EQUIVALENT = (
     Mutation(
         "linear-stop-sum-order",
         _LINEAR,
         "sq[i] = np.dot(dwi, dwi)",
         "sq[i] = np.add.reduce(dwi * dwi)",
+        (),
+    ),
+    Mutation(
+        "encode-chunk-repeats-a-row",
+        _ENCODINGS,
+        "stop = start + ENCODE_ROWS",
+        "stop = start + ENCODE_ROWS + 1",
+        (),
+    ),
+    Mutation(
+        "predict-chunk-repeats-a-row",
+        _TREE,
+        "slice(start, start + PREDICT_ROWS)",
+        "slice(start, start + PREDICT_ROWS + 1)",
         (),
     ),
 )

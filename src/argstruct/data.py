@@ -20,17 +20,20 @@ Interchange format: one JSON object per line, UTF-8::
 is a string or an integer (read as its decimal string), and no two messages
 share one; ``text`` is a string or null.
 
-Parsing a path or bytes decodes it as UTF-8 once and walks the text with
-the json module's C scanner, the one ``json.loads`` uses. The per-line loop,
-the only path for an iterable of lines, takes the same bytes when the scan
-cannot decode a record (invalid UTF-8 or JSON, a key, value or type the
-format does not allow, an integer id) or the text is not one record to a
-line (a record spans lines, a line is blank, or whitespace or another record
-shares a record's line; a CRLF line end is fine). Both paths judge their
-records with one check of the record rules. Nesting within a few levels of
-the interpreter's recursion limit, where either path's outcome already
-depends on the caller's stack depth, is the one input the two may judge
-differently.
+Parsing a path or bytes reads it once, front to back, in blocks of whole
+lines (``BLOCK_BYTES`` and the rest of the line they end in), so no more than
+a block of the source is held as bytes and text at once. Each block is
+decoded as UTF-8 and walked with the json module's C scanner, the one
+``json.loads`` uses. The per-line loop, the only path for an iterable of
+lines, takes a block's bytes when the scan cannot decode one of its records
+(invalid UTF-8 or JSON, a key, value or type the format does not allow, an
+integer id) or the block is not one record to a line (a record spans lines,
+a line is blank, or whitespace or another record shares a record's line; a
+CRLF line end is fine); line numbers run on across blocks. The records of
+all blocks are judged together, by one check of the record rules that both
+paths share. Nesting within a few levels of the interpreter's recursion
+limit, where either path's outcome already depends on the caller's stack
+depth, is the one input the two may judge differently.
 """
 
 import io
@@ -168,14 +171,17 @@ def _record_rules(d: "Dataset", lines=None, positions=None):
     hateful message with an unannotated component warns. Returns {record:
     ValidationError} and {record: PartialAnnotationWarning}, in line order."""
     sizes, record_of = np.diff(d.offsets), d.message_of
-    index = np.arange(len(d.role)) - d.offsets[record_of]  # within its record
 
     def per_record(mask):
         return np.bincount(record_of[mask], minlength=len(d))
 
     conclusions = sizes - d.premise_counts
-    last = per_record((d.role == CONCLUSION) & (index == sizes[record_of] - 1)) > 0
-    moved = positions is not None and per_record(np.asarray(positions) != index) > 0
+    last = np.zeros(len(d), dtype=bool)  # the record's last component is a conclusion
+    filled = sizes > 0
+    last[filled] = d.role[d.offsets[1:][filled] - 1] == CONCLUSION
+    moved = positions is not None and per_record(  # a position is not its index in the record
+        np.asarray(positions) != np.arange(len(d.role)) - d.offsets[record_of]
+    ) > 0
     rules = (  # (code, broken, detail); NON_CONTIGUOUS_POSITIONS needs ``positions``
         ("NO_CONCLUSION", conclusions == 0, ""),
         ("MULTIPLE_CONCLUSIONS", conclusions > 1, "found {n}"),
@@ -190,7 +196,7 @@ def _record_rules(d: "Dataset", lines=None, positions=None):
         own = positions[d.offsets[i]:d.offsets[i + 1]] if positions is not None else None
         errors[i] = ValidationError(code, d.ids[i], detail.format(n=conclusions[i], positions=own))
     accepted = broken == 0
-    if lines is not None and len(set(d.ids)) < len(d):  # some id repeats
+    if lines is not None and _may_repeat(d.ids):
         first: dict = {}  # each id's first accepted record
         for i in np.flatnonzero(accepted).tolist():
             if (j := first.setdefault(d.ids[i], i)) != i:
@@ -200,6 +206,13 @@ def _record_rules(d: "Dataset", lines=None, positions=None):
     text = "hateful message {!r} has unannotated components (treated as 0)"
     warns = {i: PartialAnnotationWarning(text.format(d.ids[i])) for i in np.flatnonzero(partial)}
     return dict(sorted(errors.items())), warns
+
+
+def _may_repeat(ids) -> bool:
+    """Whether two of ``ids`` hash alike, as two equal ones do; their sorted
+    hashes take a fraction of the memory of a set of them."""
+    hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids)))
+    return bool((hashes[1:] == hashes[:-1]).any())
 
 
 def validate_message(m: Message) -> None:
@@ -373,9 +386,9 @@ _TRIPLE_CODES = np.array(
 )
 
 
-def _scan_dataset(text: str) -> Dataset | None:
-    """The records of ``text`` from one scan, unchecked, or None when one is a
-    record only the per-line loop of ``parse_dataset`` decodes."""
+def _scan_dataset(text: str) -> dict | None:
+    """The records of ``text`` from one scan as unchecked columns (``_joined``
+    takes them), or None when one is a record only the per-line loop decodes."""
     ids, labels, sizes, rows, texts = [], [], [], [], []
     scan, row_of, label_of = _SCAN, _TRIPLE_ROW, _LABEL_VALUES
     start, n = 0, len(text)
@@ -400,8 +413,8 @@ def _scan_dataset(text: str) -> Dataset | None:
     if not set(map(type, ids)) <= {str} or not set(map(type, texts)) <= {str, type(None)}:
         return None
     role, cw, hate = _TRIPLE_CODES[rows].T
-    return Dataset(ids=ids, label=labels, offsets=np.cumsum([0] + sizes), role=role, cw=cw,
-                   hate=hate, texts=texts)
+    return {"ids": ids, "label": labels, "sizes": sizes, "role": role, "cw": cw, "hate": hate,
+            "texts": texts}
 
 
 @dataclass(frozen=True)
@@ -428,11 +441,91 @@ def _iter_lines(source) -> Iterator[str | bytes]:
         raise TypeError(f"unsupported dataset source: {type(source)!r}")
 
 
+BLOCK_BYTES = 1 << 18  # a path or bytes is read 256 KiB at a time, plus the rest of a line
+
+
+def _parse_blocks(fh) -> Iterator[tuple]:
+    """The records of ``fh`` block by block: each block's unchecked columns,
+    its records' line numbers and its undecodable lines. A block is
+    ``BLOCK_BYTES`` of whole lines and the rest of the line they end in, read
+    once, front to back, and parsed in one scan of its text, or by the
+    per-line loop when the scan cannot take it."""
+    line_no = 1  # the block's first line
+    while block := fh.read(BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += fh.readline()  # a line longer than a block joins it whole
+        try:
+            columns = _scan_dataset(block.decode("utf-8"))
+        except UnicodeDecodeError:  # the per-line loop reports the line
+            columns = None
+        if columns is not None:  # one record to a line
+            count = len(columns["ids"])
+            yield columns, np.arange(line_no, line_no + count), []
+        else:
+            count = block.count(b"\n")
+            yield _per_line_loop(block, line_no)
+        line_no += count
+
+
+def _per_line_loop(source, first_line: int):
+    """``_parse_blocks``'s result for ``source``, bytes or an iterable of lines
+    whose first is line ``first_line``, one line at a time."""
+    columns = {name: [] for name in ("ids", "label", "role", "cw", "hate", "texts", "sizes")}
+    lines, issues = [], []
+    for line_no, line in enumerate(_iter_lines(source), start=first_line):
+        try:
+            try:
+                line = line.decode("utf-8") if isinstance(line, bytes) else line
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(line_no, f"invalid UTF-8: {exc.reason}") from exc
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+            # an integer past CPython's int-string digit limit, or nesting past
+            # the interpreter's recursion limit
+            except (ValueError, RecursionError) as exc:
+                raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise MalformedRecordError(line_no, "record is not an object")
+            msg_id, label, *components = _record_codes(record, line_no)
+        except MalformedRecordError as exc:
+            issues.append(RecordIssue(line_no, exc))
+            continue
+        lines.append(line_no)
+        for column, values in zip(columns.values(), ([msg_id], [label], *components,
+                                                     [len(components[0])])):
+            column.extend(values)
+    return columns, np.array(lines, dtype=np.intp), issues
+
+
+def _joined(parts):
+    """The unchecked Dataset of the column ``parts`` of ``_parse_blocks``, in
+    source order, its records' line numbers and the undecodable lines."""
+    chain = itertools.chain.from_iterable
+
+    def joined(name, dtype=np.int8):
+        arrays = (np.asarray(columns[name], dtype) for columns, _, _ in parts)
+        return np.concatenate([np.zeros(0, dtype), *arrays])
+
+    dataset = Dataset(
+        ids=chain(c["ids"] for c, _, _ in parts),
+        label=joined("label"),
+        offsets=np.append(0, np.cumsum(joined("sizes", np.intp))),
+        role=joined("role"), cw=joined("cw"), hate=joined("hate"),
+        texts=chain(c["texts"] for c, _, _ in parts),
+    )
+    lines = np.concatenate([np.zeros(0, np.intp), *(lines for _, lines, _ in parts)])
+    return dataset, lines, [issue for _, _, issues in parts for issue in issues]
+
+
 def _checked(dataset: Dataset, lines, issues: list, strict: bool) -> ParseResult:
     """The ParseResult of the decoded records ``dataset``, on ``lines``, and of
     ``issues``, the lines that did not decode; strict mode raises the first issue."""
     errors, warns = _record_rules(dataset, lines)
-    issues = sorted(issues + [RecordIssue(lines[i], e) for i, e in errors.items()],
+    issues = sorted(issues + [RecordIssue(int(lines[i]), e) for i, e in errors.items()],
                     key=lambda issue: issue.line_no)
     end = issues[0].line_no if strict and issues else math.inf  # warn only before it
     for warning in (w for i, w in warns.items() if lines[i] < end):
@@ -458,56 +551,24 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
 
     ``source`` may be a path, bytes, or an iterable of lines. In strict mode
     the first malformed or invalid record raises; in lenient mode such records
-    are skipped and reported in ``ParseResult.skipped``; a line that is not
-    UTF-8 is malformed, and so is a record whose id an earlier record has.
+    are skipped and reported in ``ParseResult.skipped``. A line that does not
+    decode to a record (not UTF-8 or JSON, or a key, value or type the format
+    does not allow) is malformed (``MalformedRecordError``). A record that
+    breaks a structural rule is invalid (``ValidationError``), and so, with
+    code DUPLICATE_ID, is a record whose id an earlier accepted record has.
     Blank lines are ignored. Raises EmptyDatasetError when no valid message
-    remains. A path or bytes whose records each fill one line is parsed in
-    one scan of its text; see the module docstring.
+    remains. A path or bytes is read once, in blocks of whole lines, each
+    parsed in one scan of its text when its records each fill one line; see
+    the module docstring.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            source = fh.read()
-    if isinstance(source, bytes):
-        try:
-            text = source.decode("utf-8")
-        except UnicodeDecodeError:  # the per-line loop reports the line
-            pass
-        else:
-            source = None  # the scan holds the text alone
-            dataset = _scan_dataset(text)
-            if dataset is not None:
-                return _checked(dataset, range(1, len(dataset) + 1), [], strict)
-            source = text.encode("utf-8")  # the same bytes again, for the per-line loop
-            del text
-    columns = {name: [] for name in ("ids", "label", "role", "cw", "hate", "texts")}
-    sizes, lines, issues = [], [], []
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        try:
-            try:
-                line = line.decode("utf-8") if isinstance(line, bytes) else line
-            except UnicodeDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid UTF-8: {exc.reason}") from exc
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-            # an integer past CPython's int-string digit limit, or nesting past
-            # the interpreter's recursion limit
-            except (ValueError, RecursionError) as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecordError(line_no, "record is not an object")
-            msg_id, label, *components = _record_codes(record, line_no)
-        except MalformedRecordError as exc:
-            issues.append(RecordIssue(line_no, exc))
-            continue
-        lines.append(line_no)
-        sizes.append(len(components[0]))
-        for column, values in zip(columns.values(), ([msg_id], [label], *components)):
-            column.extend(values)
-    return _checked(Dataset(offsets=np.cumsum([0] + sizes), **columns), lines, issues, strict)
+    if isinstance(source, (str, Path, bytes)):
+        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+            parts = list(_parse_blocks(fh))
+    else:
+        parts = [_per_line_loop(source, 1)]
+    dataset, lines, issues = _joined(parts)
+    del parts  # the blocks' own columns
+    return _checked(dataset, lines, issues, strict)
 
 
 def load_dataset(path, strict: bool = True) -> Dataset:

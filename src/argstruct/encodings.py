@@ -122,6 +122,9 @@ def feature_names(spec: EncodingSpec) -> list[str]:
     return names
 
 
+ENCODE_ROWS = 2048  # messages encoded at a time, which bounds the per-component temporaries
+
+
 def encode_dataset(
     d: Dataset,
     spec: EncodingSpec,
@@ -133,10 +136,10 @@ def encode_dataset(
     ``stage1_scores`` (the premise model's hateful-class probability for each
     message) must be given exactly for the two-stage families. A message with
     more than L premises raises ``PremiseOverflowError`` unless ``truncate``
-    drops the surplus.
+    drops the surplus. Each column block is written into the one matrix,
+    ``ENCODE_ROWS`` messages at a time.
     """
     lay, L, n = spec.layout, spec.capacity, len(d)
-    blocks = []
     if lay.two_stage:
         if stage1_scores is None:
             raise MissingStageOneScoreError(f"{spec.family} requires stage-1 scores")
@@ -148,38 +151,46 @@ def encode_dataset(
             raise StageOneScoreError(
                 f"stage-1 score must be in [0, 1], got {scores[outside][0]}"
             )
-        blocks.append(scores[:, None])
     elif stage1_scores is not None:
         raise UnexpectedStageOneScoreError(f"{spec.family} does not take stage-1 scores")
-    # each slot's cw index (-1: empty) and hatefulness; a premise fills the
-    # slot of its rank among its message's premises, the conclusion slot L.
-    # The two-stage families encode no premise slot, so their premises are
-    # never read.
-    cw = np.full((n, L + 1), -1)
-    hate = np.zeros((n, L + 1), dtype=bool)
-    placed = d.role == CONCLUSION
-    slot = np.full(len(placed), L)
-    if not lay.two_stage:
+    else:
         counts = d.premise_counts
         over = np.flatnonzero(counts > L)
         if len(over) and not truncate:
             raise PremiseOverflowError(d.ids[over[0]], int(counts[over[0]]), L)
-        premise = ~placed
-        before = np.concatenate(([0], np.cumsum(premise)))  # premises before each component
-        slot[premise] = (before[:-1] - before[d.offsets[:-1]][d.message_of])[premise]
-        placed |= premise & (slot < L)
-    rows, slots = d.message_of[placed], slot[placed]
-    cw[rows, slots] = d.cw[placed]
-    hate[rows, slots] = d.hate[placed] == HATEFUL
-    encoded = cw[:, spec.slots]
-    blocks.append(encoded >= 0)
-    if lay.cw:
-        blocks.append((encoded[:, :, None] == np.arange(len(CW_ORDER))).reshape(n, -1))
-    if lay.hs:
-        blocks.append(hate)
-    # fancy indexing can leave the blocks, and so their concatenation, in F
-    # order; gbt's split sums depend on the memory layout of what it gathers
-    return np.ascontiguousarray(np.concatenate(blocks, axis=1, dtype=float))
+    # C order: gbt's split sums depend on the memory layout of what it gathers
+    X = np.zeros((n, spec.length))
+    if lay.two_stage:
+        X[:, 0] = scores
+    for start in range(0, n, ENCODE_ROWS):
+        stop = start + ENCODE_ROWS
+        bounds = d.offsets[start : stop + 1]  # the chunk's messages' component offsets
+        first, last = bounds[0], bounds[-1]
+        message = d.message_of[first:last] - start
+        # each slot's cw index (-1: empty) and hatefulness; a premise fills the
+        # slot of its rank among its message's premises, the conclusion slot L.
+        # The two-stage families encode no premise slot, so their premises are
+        # never read.
+        cw = np.full((len(bounds) - 1, L + 1), -1, dtype=np.int8)
+        hate = np.zeros((len(bounds) - 1, L + 1), dtype=bool)
+        placed = d.role[first:last] == CONCLUSION
+        slot = np.full(len(placed), L)
+        if not lay.two_stage:
+            premise = ~placed
+            before = np.concatenate(([0], np.cumsum(premise)))  # premises before each component
+            slot[premise] = (before[:-1] - before[bounds[:-1] - first][message])[premise]
+            placed |= premise & (slot < L)
+        rows, at = message[placed], slot[placed]
+        cw[rows, at] = d.cw[first:last][placed]
+        hate[rows, at] = d.hate[first:last][placed] == HATEFUL
+        encoded = cw[:, spec.slots]
+        blocks = [encoded >= 0]
+        if lay.cw:
+            blocks.append((encoded[:, :, None] == np.arange(len(CW_ORDER))).reshape(len(cw), -1))
+        if lay.hs:
+            blocks.append(hate)
+        X[start:stop, lay.two_stage:] = np.concatenate(blocks, axis=1)
+    return X
 
 
 def encode(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import Classifier, dedup_rows
 from .linear import sigmoid
-from .tree import Blocks, Trees, distinct_rows, grow_trees, node_slices, sse_gain
+from .tree import Blocks, Trees, distinct_rows, grow_trees, node_slices, row_chunks, sse_gain
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,14 @@ class GradientBoostedModel(Classifier):
 
     def scores(self, X):
         U, inverse = distinct_rows(X)
-        F = np.full(len(U), self.base_score)
-        for leaf in self.trees.leaf_values(U[None]):  # tree order: float sums depend on it
-            F += self.shrinkage * leaf
+        F = np.empty(len(U))
+        for rows in row_chunks(len(U)):
+            leaf = self.trees.leaf_values(U[None, rows])
+            terms = np.empty((len(leaf) + 1, leaf.shape[1]))  # the base score, then each step
+            terms[0] = self.base_score
+            np.multiply(self.shrinkage, leaf, out=terms[1:])
+            # summed in tree order, as the rounds added them: float sums depend on it
+            F[rows] = np.add.accumulate(terms, out=terms)[-1]
         return sigmoid(F)[inverse]
 
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import Classifier, dedup_rows
-from .tree import Blocks, Trees, distinct_rows, entropy_gain, gini_gain, grow_trees
+from .tree import (
+    Blocks, Trees, distinct_rows, entropy_gain, gini_gain, grow_trees, row_chunks,
+)
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,9 @@ class RandomForestModel(Classifier):
     def scores(self, X):
         """Fraction of trees whose leaf votes hateful."""
         U, inverse = distinct_rows(X)
-        votes = self.trees.leaf_values(U[None]).sum(axis=0)
+        votes = np.zeros(len(U))
+        for rows in row_chunks(len(U)):
+            votes[rows] = self.trees.leaf_values(U[None, rows]).sum(axis=0)
         return (votes / len(self.trees))[inverse]
 
 

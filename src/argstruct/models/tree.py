@@ -46,6 +46,8 @@ import numpy as np
 
 GAIN_EPS = 1e-12
 KEY_BITS = 52  # a run's key is an integer below 2**52, exact in a float
+PREDICT_ROWS = 128  # distinct rows a prediction descends at a time
+CHECK_ROWS = 1024  # rows ``distinct_rows`` checks for 0/1 columns at a time
 MIN_SAMPLES_SPLIT = 2
 
 
@@ -140,6 +142,12 @@ class Trees:
             node = child[(flat[start + f] <= self.threshold[node]) + 2 * node]
 
 
+def row_chunks(n):
+    """Slices of rows 0..n-1, ``PREDICT_ROWS`` at a time: prediction descends
+    and reduces each before the next, so its (trees, rows) arrays stay small."""
+    return [slice(start, start + PREDICT_ROWS) for start in range(0, n, PREDICT_ROWS)]
+
+
 def distinct_rows(X):
     """(U, inverse) with X == U[inverse]: predict once per distinct row.
 
@@ -149,9 +157,12 @@ def distinct_rows(X):
     does: U (up to the sign of a zero) and the inverse are those
     np.unique(X, axis=0) gives, with no copy of X.
     """
-    binary = ((X == 0.0) | (X == 1.0)).all(axis=0).tolist()
+    binary = np.ones(X.shape[1], dtype=bool)  # the columns whose values are all 0 or 1
+    for start in range(0, len(X), CHECK_ROWS):
+        rows = X[start : start + CHECK_ROWS]
+        binary &= ((rows == 0.0) | (rows == 1.0)).all(axis=0)
     keys, end = [], 0
-    for is_binary, group in groupby(binary):
+    for is_binary, group in groupby(binary.tolist()):
         start, end = end, end + len(list(group))
         for s in range(start, end, KEY_BITS if is_binary else 1):
             run = X[:, s : min(s + KEY_BITS, end)]

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import os
+import threading
 import warnings
 
 import pytest
@@ -626,3 +628,106 @@ def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkey
     monkeypatch.setattr(data, "_iter_lines", recorded)
     assert [_per_line_outcome(raw, strict) for strict in (True, False)] == expected
     assert sources == ([] if variant in _SCANNED_VARIANTS else [raw, raw])
+
+
+def _blocks_of(raw: bytes, size: int):
+    """(offset, block) of ``raw`` in blocks of whole lines: ``size`` bytes and
+    the rest of the line they end in."""
+    fh, offset, blocks = io.BytesIO(raw), 0, []
+    while block := fh.read(size):
+        block += b"" if block.endswith(b"\n") else fh.readline()
+        blocks.append((offset, block))
+        offset += len(block)
+    return blocks
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block(variant, monkeypatch):
+    """Read in blocks of a few hundred bytes, a file with one line changed in
+    a middle block gives the result, error text, line numbers, warnings and
+    skipped records of its lines as an iterable, in strict and lenient mode.
+    The per-line loop runs only on a block that holds the changed line."""
+    monkeypatch.setattr(data, "BLOCK_BYTES", 300)
+    lines = _synth_bytes("table1", 13, with_texts=True).split(b"\n")[:-1]
+    where = len(lines) // 2
+    lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
+    raw = b"\n".join(lines) + b"\n"
+    changed_start = len(b"\n".join(lines[:where])) + 1
+    changed_end = changed_start + len(lines[where])
+    blocks = _blocks_of(raw, 300)
+    assert len(blocks) >= 5 and blocks[0][1] != raw
+    assert changed_start > len(blocks[0][1]) and changed_end < len(raw) - len(blocks[-1][1])
+    holding = {block for offset, block in blocks
+               if offset < changed_end and offset + len(block) > changed_start}
+    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    sources = []
+    iter_lines = data._iter_lines
+
+    def recorded(source):
+        sources.append(source)
+        return iter_lines(source)
+
+    monkeypatch.setattr(data, "_iter_lines", recorded)
+    assert [_per_line_outcome(raw, strict) for strict in (True, False)] == expected
+    assert set(sources) <= holding
+    assert bool(sources) == (variant not in _SCANNED_VARIANTS)
+
+
+@pytest.mark.parametrize("block_bytes", [64, 300, 1000])
+@pytest.mark.parametrize("shape", ["plain", "crlf", "no-final-newline", "crlf-no-final-newline"])
+def test_blocks_parse_generated_files_as_the_per_line_loop(shape, block_bytes, tmp_path,
+                                                          monkeypatch):
+    """Non-ASCII and escaped texts, CRLF line ends, no last newline and lines
+    longer than a block (every line, at 64 bytes) read in blocks from a path
+    or bytes give the per-line loop's result on the same lines, with no block
+    taking the per-line loop."""
+    monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+    raw = _synth_bytes("table1", 17, 40, 30, with_texts=True)
+    if shape.startswith("crlf"):
+        raw = raw.replace(b"\n", b"\r\n")
+    if shape.endswith("no-final-newline"):
+        raw = raw.rstrip(b"\r\n")
+    assert len(_blocks_of(raw, block_bytes)) > 10
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(raw)
+    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    monkeypatch.setattr(data, "_iter_lines", _no_per_line_loop)
+    for source in (raw, path):
+        assert [_per_line_outcome(source, strict) for strict in (True, False)] == expected
+
+
+def _parse_through_a_pipe(raw: bytes, strict: bool):
+    """``_per_line_outcome`` of ``raw`` read from a pipe's /dev/fd path, fed
+    by a thread: the pipe holds the bytes once, so a second read sees none."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(raw)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        return _per_line_outcome(f"/dev/fd/{read_fd}", strict)
+    finally:
+        os.close(read_fd)  # a reader that stopped early ends the feeder with EPIPE
+        feeder.join(timeout=30)
+        assert not feeder.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("bad_last_block", [False, True])
+def test_a_pipe_parses_as_its_file_in_one_read(bad_last_block, tmp_path, monkeypatch):
+    """A source that can be read only once, front to back, gives the regular
+    file's result, with a clean file and with a bad line in its last block."""
+    monkeypatch.setattr(data, "BLOCK_BYTES", 500)
+    lines = _synth_bytes("table1", 19, 30, 20, with_texts=True).split(b"\n")[:-1]
+    if bad_last_block:
+        lines[-2] = _VARIANTS["trailing-spaces"](lines[-2], lines[-3])
+    raw = b"\n".join(lines) + b"\n"
+    blocks = _blocks_of(raw, 500)
+    assert len(blocks) > 5 and (b"}  \n" in blocks[-1][1]) == bad_last_block
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(raw)
+    for strict in (True, False):
+        assert _parse_through_a_pipe(raw, strict) == _per_line_outcome(path, strict)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from argstruct import encodings
 from argstruct.data import Checkworthiness, ComponentHate, Dataset, MessageLabel
 from argstruct.encodings import (
     FAMILIES,
@@ -15,6 +16,7 @@ from argstruct.encodings import (
     feature_names,
     stage_one_spec,
 )
+from argstruct.synth import GeneratorConfig, generate
 import encoding_oracle
 from messages import make_message, message_strategy
 
@@ -292,3 +294,19 @@ def test_encode_dataset_matches_oracle(family, messages, slack, truncate, kind, 
     for i, m in enumerate(d):  # encode is the one-row case
         score = None if scores is None else scores[i]
         assert encode(m, spec, score, truncate).tobytes() == got[i].tobytes()
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_encode_dataset_in_chunks_matches_oracle(family, truncate, monkeypatch):
+    """Encoded three messages at a time, every row of every family has the
+    per-message encoder's bytes, with L at and below the largest premise
+    count."""
+    monkeypatch.setattr(encodings, "ENCODE_ROWS", 3)
+    d = generate(GeneratorConfig(mode="table1", n_hateful=16, n_nonhateful=12, seed=23))
+    spec = EncodingSpec(family, d.premise_capacity - truncate)
+    scores = np.random.default_rng(23).random(len(d)) if spec.two_stage else None
+    expected = encoding_oracle.encode_dataset(d, spec, scores, truncate)
+    got = encode_dataset(d, spec, scores, truncate)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()

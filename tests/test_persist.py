@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argstruct.models import ModelSpec, fit
+from argstruct.models.linear import sigmoid
 from argstruct.models.persist import (
     ModelFormatError,
     load_model,
@@ -135,6 +136,15 @@ def test_model_file_that_is_not_utf8_is_malformed(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(ModelFormatError, match="not UTF-8 JSON"):
         load_model(path)
+
+
+def test_gbt_with_no_trees_scores_its_base_score():
+    obj = copy.deepcopy(next(o for o in VALID if o["family"] == "gbt"))
+    obj["params"]["trees"].clear()
+    model = model_from_dict(obj)
+    X, _ = _problem()
+    expected = sigmoid(np.full(len(X), obj["params"]["base_score"]))
+    assert model.predict_score(X).tobytes() == expected.tobytes()
 
 
 def test_valid_fixtures_load_and_round_trip():

@@ -31,6 +31,7 @@ from argstruct.models import (
     fit,
     fit_each,
 )
+from argstruct.models import tree
 from argstruct.models.persist import load_model, model_to_dict, save_model
 from argstruct.models.tree import Blocks, distinct_rows, gini_gain, grow_trees
 from argstruct.synth import GeneratorConfig, generate
@@ -380,3 +381,31 @@ def test_predict_on_non_finite_rows_matches_recursive_builder(family):
     ])
     expected = tree_oracle.scores(model_to_dict(model), rows)
     assert model.predict_score(rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", ["rforest", "gbt"])
+def test_predict_in_row_chunks_matches_recursive_builder(family, monkeypatch):
+    # seven distinct rows descended at a time, and five rows at a time
+    # checked for 0/1 columns: each chunk's rows get the whole descent's bits
+    _, X, y = _corpus_design(16, 60, 40)
+    model = fit(ModelSpec(family, tree_count=25, seed=16), X, y)
+    rng = np.random.default_rng(16)
+    rows = np.vstack([X, (rng.random((40, X.shape[1])) < 0.5).astype(float), X[:30] * 0.5])
+    monkeypatch.setattr(tree, "PREDICT_ROWS", 7)
+    monkeypatch.setattr(tree, "CHECK_ROWS", 5)
+    assert len(distinct_rows(rows)[0]) > 10 * 7
+    expected = tree_oracle.scores(model_to_dict(model), rows)
+    assert model.predict_score(rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("at", range(6))
+def test_distinct_rows_checks_every_row_for_0_1_columns(at, monkeypatch):
+    # a value that is not 0/1, in whichever block of three rows it lies, keeps
+    # its column out of the 0/1 run keys: keyed as a run, (0.5, 1) is (1, 0)
+    monkeypatch.setattr(tree, "CHECK_ROWS", 3)
+    X = np.tile([1.0, 0.0], (6, 1))
+    X[at] = [0.5, 1.0]
+    U, inverse = distinct_rows(X)
+    expected_U, expected_inverse = tree_oracle.distinct_rows(X)
+    assert U.tobytes() == expected_U.tobytes() and len(U) == 2
+    assert inverse.tobytes() == expected_inverse.tobytes()
