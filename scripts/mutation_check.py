@@ -200,16 +200,34 @@ MUTATIONS = (
     Mutation(
         "scan-never-taken",
         _DATA,
-        '            columns = _scan_dataset(block.decode("utf-8"))',
-        "            columns = None",
+        'line_no = records.scan_text(block.decode("utf-8"), line_no)',
+        'raise UnicodeDecodeError("utf-8", block, 0, 1, "the scan is never taken")',
         ("tests/test_data.py::test_one_scan_parses_generated_files_as_the_per_line_loop",),
     ),
     Mutation(
         "block-line-numbers-not-carried",
         _DATA,
-        "line_no += count",
-        "line_no += 0",
+        "            line_no = 1\n            while block := fh.read(BLOCK_BYTES):\n",
+        "            while block := fh.read(BLOCK_BYTES):\n                line_no = 1\n",
         (f"{_MIDDLE_BLOCK}[not-an-object]",),
+    ),
+    Mutation(  # the outcome stays; only the lines the per-line decoder takes show it
+        "scan-resumes-a-line-late",
+        _DATA,
+        "                start, line_no = end, line_no + 1\n",
+        "                start, line_no = end, line_no + 1\n"
+        "                if start < n:  # the next line too\n"
+        '                    end = text.find("\\n", start) % (n + 1) + 1\n'
+        "                    self.decode_line(text[start:end], line_no)\n"
+        "                    start, line_no = end, line_no + 1\n",
+        (f"{_CHANGED_LINE}[trailing-spaces-0]",),
+    ),
+    Mutation(
+        "scan-keeps-a-left-records-components",
+        _DATA,
+        "del codes[offsets[-1]:], texts[offsets[-1]:]",
+        "codes, texts",
+        (f"{_CHANGED_LINE}[text-after-a-bad-component-0]",),
     ),
     Mutation(  # a source such as a pipe can be read once
         "parse-reads-a-path-twice",
@@ -229,8 +247,8 @@ MUTATIONS = (
     Mutation(
         "scan-record-spans-lines",
         _DATA,
-        'text.find("\\n", start) % (n + 1)',
-        'text.find("\\n", end) % (n + 1)',
+        'line_end = text.find("\\n", start) % (n + 1)',
+        'line_end = text.find("\\n", end) % (n + 1)',
         (f"{_CHANGED_LINE}[spans-two-lines-0]",),
     ),
     Mutation(

@@ -24,16 +24,15 @@ Parsing a path or bytes reads it once, front to back, in blocks of whole
 lines (``BLOCK_BYTES`` and the rest of the line they end in), so no more than
 a block of the source is held as bytes and text at once. Each block is
 decoded as UTF-8 and walked with the json module's C scanner, the one
-``json.loads`` uses. The per-line loop, the only path for an iterable of
-lines, takes a block's bytes when the scan cannot decode one of its records
-(invalid UTF-8 or JSON, a key, value or type the format does not allow, an
-integer id) or the block is not one record to a line (a record spans lines,
-a line is blank, or whitespace or another record shares a record's line; a
-CRLF line end is fine); line numbers run on across blocks. The records of
-all blocks are judged together, by one check of the record rules that both
-paths share. Nesting within a few levels of the interpreter's recursion
-limit, where either path's outcome already depends on the caller's stack
-depth, is the one input the two may judge differently.
+``json.loads`` uses. A line the scan cannot take (invalid JSON, a key, value
+or type the format does not allow, an integer id, or not one record on its
+line; a CRLF line end is fine) goes alone to the per-line decoder, which an
+iterable of lines and a block that is not UTF-8 take line by line; the scan
+resumes at the next line. Both write into the same columns, line numbers run
+on across blocks, and one check of the record rules judges all records.
+Nesting within a few levels of the interpreter's recursion limit, where
+either path's outcome already depends on the caller's stack depth, is the
+one input the two may judge differently.
 """
 
 import io
@@ -42,6 +41,7 @@ import json
 import json.scanner
 import math
 import warnings
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -377,44 +377,10 @@ def _record_codes(record: dict, line_no: int):
 
 
 _SCAN = json.scanner.make_scanner(json.JSONDecoder())  # json.loads's scanner
-# each (role, cw, hate) value triple a component may carry, and its row of codes
+# each (role, cw, hate) value triple a component may carry: (role * 3 + cw) * 3 + hate, in codes
 _HATE_OR_NULL = {None: UNANNOTATED, **_HATE_VALUES}
-_TRIPLES = list(itertools.product(_ROLE_VALUES, _CW_VALUES, _HATE_OR_NULL))
-_TRIPLE_ROW = {triple: row for row, triple in enumerate(_TRIPLES)}
-_TRIPLE_CODES = np.array(
-    [(_ROLE_VALUES[r], _CW_VALUES[c], _HATE_OR_NULL[h]) for r, c, h in _TRIPLES], dtype=np.int8
-)
-
-
-def _scan_dataset(text: str) -> dict | None:
-    """The records of ``text`` from one scan as unchecked columns (``_joined``
-    takes them), or None when one is a record only the per-line loop decodes."""
-    ids, labels, sizes, rows, texts = [], [], [], [], []
-    scan, row_of, label_of = _SCAN, _TRIPLE_ROW, _LABEL_VALUES
-    start, n = 0, len(text)
-    try:
-        while start < n:
-            record, end = scan(text, start)
-            line_end = text.find("\n", start) % (n + 1)  # n on a last line with no "\n"
-            # the record fills its line, up to the "\r" json.loads skips in a CRLF
-            if end != line_end and text[end:line_end] != "\r":
-                return None
-            components = record["components"]
-            ids.append(record["id"])
-            labels.append(label_of[record["label"]])
-            sizes.append(len(components))
-            for c in components:
-                rows.append(row_of[c["role"], c["cw"], c.get("hate")])
-                texts.append(c.get("text"))
-            start = line_end + 1
-    # no JSON value (StopIteration), invalid JSON, or a record that is no plain message
-    except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-        return None
-    if not set(map(type, ids)) <= {str} or not set(map(type, texts)) <= {str, type(None)}:
-        return None
-    role, cw, hate = _TRIPLE_CODES[rows].T
-    return {"ids": ids, "label": labels, "sizes": sizes, "role": role, "cw": cw, "hate": hate,
-            "texts": texts}
+_TRIPLE_CODE = {(r, c, h): (_ROLE_VALUES[r] * 3 + _CW_VALUES[c]) * 3 + _HATE_OR_NULL[h]
+                for r, c, h in itertools.product(_ROLE_VALUES, _CW_VALUES, _HATE_OR_NULL)}
 
 
 @dataclass(frozen=True)
@@ -432,54 +398,72 @@ class ParseResult:
     skipped: tuple[RecordIssue, ...]
 
 
-def _iter_lines(source) -> Iterator[str | bytes]:
-    if isinstance(source, bytes):
-        yield from io.BytesIO(source)
-    elif isinstance(source, Iterable):
-        yield from source
-    else:
-        raise TypeError(f"unsupported dataset source: {type(source)!r}")
-
-
 BLOCK_BYTES = 1 << 18  # a path or bytes is read 256 KiB at a time, plus the rest of a line
 
 
-def _parse_blocks(fh) -> Iterator[tuple]:
-    """The records of ``fh`` block by block: each block's unchecked columns,
-    its records' line numbers and its undecodable lines. A block is
-    ``BLOCK_BYTES`` of whole lines and the rest of the line they end in, read
-    once, front to back, and parsed in one scan of its text, or by the
-    per-line loop when the scan cannot take it."""
-    line_no = 1  # the block's first line
-    while block := fh.read(BLOCK_BYTES):
-        if not block.endswith(b"\n"):
-            block += fh.readline()  # a line longer than a block joins it whole
-        try:
-            columns = _scan_dataset(block.decode("utf-8"))
-        except UnicodeDecodeError:  # the per-line loop reports the line
-            columns = None
-        if columns is not None:  # one record to a line
-            count = len(columns["ids"])
-            yield columns, np.arange(line_no, line_no + count), []
-        else:
-            count = block.count(b"\n")
-            yield _per_line_loop(block, line_no)
-        line_no += count
+class _Records:
+    """The decoded records of a source, in line order, as unchecked columns:
+    each record's id, label code, line number and end offset into the
+    component columns, and each component's ``_TRIPLE_CODE`` and text; and
+    the issues of the lines that did not decode to a record."""
 
+    def __init__(self):
+        self.ids, self.texts, self.issues = [], [], []
+        self.labels, self.codes = bytearray(), bytearray()
+        self.offsets, self.lines = array("q", [0]), array("q")
 
-def _per_line_loop(source, first_line: int):
-    """``_parse_blocks``'s result for ``source``, bytes or an iterable of lines
-    whose first is line ``first_line``, one line at a time."""
-    columns = {name: [] for name in ("ids", "label", "role", "cw", "hate", "texts", "sizes")}
-    lines, issues = [], []
-    for line_no, line in enumerate(_iter_lines(source), start=first_line):
+    def scan_text(self, text: str, line_no: int) -> int:
+        """Add the lines of ``text``, the first line ``line_no``, in one scan; a
+        line that is not one plain record goes alone to ``decode_line``.
+        Returns the number of the line after ``text``."""
+        ids, labels, codes, texts = self.ids, self.labels, self.codes, self.texts
+        offsets, scan, code_of, label_of = self.offsets, _SCAN, _TRIPLE_CODE, _LABEL_VALUES
+        start, n = 0, len(text)
+        while start < n:
+            first = len(ids)
+            try:
+                while start < n:
+                    record, end = scan(text, start)
+                    line_end = text.find("\n", start) % (n + 1)  # n on a last line with no "\n"
+                    # the record fills its line, up to the "\r" json.loads skips in a CRLF
+                    if end != line_end and text[end:line_end] != "\r":
+                        break
+                    msg_id, components = record["id"], record["components"]
+                    label = label_of[record["label"]]
+                    if type(msg_id) is not str or type(components) is not list:
+                        break
+                    for c in components:
+                        codes.append(code_of[c["role"], c["cw"], c.get("hate")])
+                        t = c.get("text")
+                        if t is not None and type(t) is not str:
+                            raise TypeError("text must be a string or null")
+                        texts.append(t)
+                    ids.append(msg_id)
+                    labels.append(label)
+                    offsets.append(len(texts))
+                    start = line_end + 1
+            # no JSON value (StopIteration), invalid JSON, or a record that is no plain message
+            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                pass
+            del codes[offsets[-1]:], texts[offsets[-1]:]  # the components of a record it left
+            self.lines.extend(range(line_no, line_no + len(ids) - first))
+            line_no += len(ids) - first
+            if start < n:
+                end = text.find("\n", start) % (n + 1) + 1
+                self.decode_line(text[start:end], line_no)
+                start, line_no = end, line_no + 1
+        return line_no
+
+    def decode_line(self, line: str | bytes, line_no: int) -> None:
+        """Add the record on ``line``, line ``line_no``, decoded by ``json.loads``,
+        or its issue; a blank line adds nothing."""
         try:
             try:
                 line = line.decode("utf-8") if isinstance(line, bytes) else line
             except UnicodeDecodeError as exc:
                 raise MalformedRecordError(line_no, f"invalid UTF-8: {exc.reason}") from exc
             if not line.strip():
-                continue
+                return
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -490,35 +474,23 @@ def _per_line_loop(source, first_line: int):
                 raise MalformedRecordError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecordError(line_no, "record is not an object")
-            msg_id, label, *components = _record_codes(record, line_no)
+            msg_id, label, roles, cws, hates, texts = _record_codes(record, line_no)
         except MalformedRecordError as exc:
-            issues.append(RecordIssue(line_no, exc))
-            continue
-        lines.append(line_no)
-        for column, values in zip(columns.values(), ([msg_id], [label], *components,
-                                                     [len(components[0])])):
-            column.extend(values)
-    return columns, np.array(lines, dtype=np.intp), issues
+            self.issues.append(RecordIssue(line_no, exc))
+            return
+        self.ids.append(msg_id)
+        self.labels.append(label)
+        self.codes.extend((r * 3 + c) * 3 + h for r, c, h in zip(roles, cws, hates))
+        self.texts.extend(texts)
+        self.offsets.append(len(self.texts))
+        self.lines.append(line_no)
 
-
-def _joined(parts):
-    """The unchecked Dataset of the column ``parts`` of ``_parse_blocks``, in
-    source order, its records' line numbers and the undecodable lines."""
-    chain = itertools.chain.from_iterable
-
-    def joined(name, dtype=np.int8):
-        arrays = (np.asarray(columns[name], dtype) for columns, _, _ in parts)
-        return np.concatenate([np.zeros(0, dtype), *arrays])
-
-    dataset = Dataset(
-        ids=chain(c["ids"] for c, _, _ in parts),
-        label=joined("label"),
-        offsets=np.append(0, np.cumsum(joined("sizes", np.intp))),
-        role=joined("role"), cw=joined("cw"), hate=joined("hate"),
-        texts=chain(c["texts"] for c, _, _ in parts),
-    )
-    lines = np.concatenate([np.zeros(0, np.intp), *(lines for _, lines, _ in parts)])
-    return dataset, lines, [issue for _, _, issues in parts for issue in issues]
+    def dataset(self) -> "Dataset":
+        role, rest = np.divmod(np.frombuffer(self.codes, np.int8), 9)
+        cw, hate = np.divmod(rest, 3)
+        return Dataset(ids=self.ids, label=np.frombuffer(self.labels, np.int8),
+                       offsets=np.frombuffer(self.offsets, np.int64), role=role, cw=cw, hate=hate,
+                       texts=self.texts)
 
 
 def _checked(dataset: Dataset, lines, issues: list, strict: bool) -> ParseResult:
@@ -558,16 +530,29 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
     code DUPLICATE_ID, is a record whose id an earlier accepted record has.
     Blank lines are ignored. Raises EmptyDatasetError when no valid message
     remains. A path or bytes is read once, in blocks of whole lines, each
-    parsed in one scan of its text when its records each fill one line; see
-    the module docstring.
+    parsed in one scan of its text; a line the scan cannot take goes alone
+    to the per-line decoder. See the module docstring.
     """
+    records = _Records()
     if isinstance(source, (str, Path, bytes)):
         with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
-            parts = list(_parse_blocks(fh))
+            line_no = 1
+            while block := fh.read(BLOCK_BYTES):
+                if not block.endswith(b"\n"):
+                    block += fh.readline()  # a line longer than a block joins it whole
+                try:
+                    line_no = records.scan_text(block.decode("utf-8"), line_no)
+                except UnicodeDecodeError:  # the per-line decoder reports the line
+                    for line in io.BytesIO(block):
+                        records.decode_line(line, line_no)
+                        line_no += 1
+    elif isinstance(source, Iterable):
+        for line_no, line in enumerate(source, start=1):
+            records.decode_line(line, line_no)
     else:
-        parts = [_per_line_loop(source, 1)]
-    dataset, lines, issues = _joined(parts)
-    del parts  # the blocks' own columns
+        raise TypeError(f"unsupported dataset source: {type(source)!r}")
+    dataset, lines, issues = records.dataset(), records.lines, records.issues
+    del records  # its columns, copied into the dataset
     return _checked(dataset, lines, issues, strict)
 
 

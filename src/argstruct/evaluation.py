@@ -17,6 +17,10 @@ class ClassTooSmallError(DataError):
     pass
 
 
+class NonBinaryLabelError(DataError):
+    pass
+
+
 class LengthMismatchError(DataError):
     pass
 
@@ -55,11 +59,15 @@ def stratified_kfold(labels, k: int, seed: int = 0) -> FoldAssignment:
 
     The round-robin cursor continues from one class to the next, so both the
     per-class fold counts and the overall fold sizes stay within 1 of perfect
-    proportionality. Deterministic per seed.
+    proportionality. Deterministic per seed. Every label must be 0 or 1
+    (NonBinaryLabelError names the first that is not).
     """
     y = np.asarray(labels)
     if k < 2:
         raise KTooSmallError(f"k must be >= 2, got {k}")
+    outside = ~np.isin(y, (0, 1))
+    if outside.any():  # it would be in no test fold and in every training split
+        raise NonBinaryLabelError(f"label {y[outside][0].item()!r} is not 0 or 1")
     rng = np.random.default_rng(seed)
     assignment = np.full(len(y), -1, dtype=int)
     cursor = 0

@@ -21,6 +21,7 @@ from argstruct.evaluation import (
     EmptyMatrixError,
     KTooSmallError,
     LengthMismatchError,
+    NonBinaryLabelError,
     TooFewFoldsError,
 )
 from argstruct.models import (
@@ -472,6 +473,7 @@ def test_bad_input_exits_with_documented_code(
         UnexpectedStageOneScoreError("unexpected"),
         StageOneScoreError("out of range"),
         ClassTooSmallError("small"),
+        NonBinaryLabelError("label 2 is not 0 or 1"),
         KTooSmallError("k"),
         LengthMismatchError("length"),
         EmptyMatrixError("empty"),

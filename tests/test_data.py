@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import os
 import threading
@@ -527,8 +528,17 @@ def _per_line_outcome(source, strict):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
-def _no_per_line_loop(source):
-    raise AssertionError("the per-line loop ran")
+def _decoded_lines(monkeypatch) -> list:
+    """The line numbers the per-line decoder is given from here on, in order."""
+    decoded = []
+    decode_line = data._Records.decode_line
+
+    def recorded(records, line, line_no):
+        decoded.append(line_no)
+        return decode_line(records, line, line_no)
+
+    monkeypatch.setattr(data._Records, "decode_line", recorded)
+    return decoded
 
 
 @pytest.mark.parametrize("with_texts", [False, True])
@@ -545,9 +555,10 @@ def test_one_scan_parses_generated_files_as_the_per_line_loop(
     for strict in (True, False):
         expected = [parse_dataset(list(io.BytesIO(source)), strict) for source in (raw, raw[:-1])]
         with monkeypatch.context() as patch:
-            patch.setattr(data, "_iter_lines", _no_per_line_loop)
+            decoded = _decoded_lines(patch)
             got = [parse_dataset(source, strict) for source in (path, raw[:-1])]
         assert got == expected
+        assert decoded == []
 
 
 def _record_with(line: bytes, **changes) -> bytes:
@@ -588,7 +599,11 @@ _VARIANTS = {
     "4301-digit-integer": lambda line, other: line[:-1] + b', "n": ' + b"1" * 4301 + b"}",
     "deep-nesting": lambda line, other: b"[" * 200_000,
     "not-an-object": lambda line, other: b"[" + line + b"]",
+    "components-not-a-list": lambda line, other: _record_with(line, components={}),
     "text-not-string": lambda line, other: _components_with(line, _first_with(text=5)),
+    "text-after-a-bad-component": lambda line, other: _components_with(
+        line, lambda cs: [{**cs[0], "text": "kept?"}, "not a component", *cs[1:]]
+    ),
     "no-premise": lambda line, other: _components_with(line, lambda cs: cs[-1:]),
     "two-conclusions": lambda line, other: _components_with(
         line, _first_with(role="conclusion")
@@ -606,30 +621,6 @@ _SCANNED_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("where", [0, 5, -1])
-@pytest.mark.parametrize("variant", sorted(_VARIANTS))
-def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkeypatch):
-    """With one line changed, the result, error text, warnings and skipped
-    records of a bytes source equal those of the same lines as an iterable,
-    in strict and lenient mode. The one scan keeps a record that decodes:
-    a valid value, a CRLF line end, or a record that breaks a rule or warns.
-    Every other change sends the bytes to the per-line loop."""
-    lines = _synth_bytes("table1", 11 + where, with_texts=True).split(b"\n")[:-1]
-    lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
-    raw = b"\n".join(lines) + b"\n"
-    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
-    sources = []
-    iter_lines = data._iter_lines
-
-    def recorded(source):
-        sources.append(source)
-        return iter_lines(source)
-
-    monkeypatch.setattr(data, "_iter_lines", recorded)
-    assert [_per_line_outcome(raw, strict) for strict in (True, False)] == expected
-    assert sources == ([] if variant in _SCANNED_VARIANTS else [raw, raw])
-
-
 def _blocks_of(raw: bytes, size: int):
     """(offset, block) of ``raw`` in blocks of whole lines: ``size`` bytes and
     the rest of the line they end in."""
@@ -641,12 +632,63 @@ def _blocks_of(raw: bytes, size: int):
     return blocks
 
 
+def _block_lines(raw: bytes, size: int) -> list[range]:
+    """The line numbers of each block of ``raw``, which ends in a newline."""
+    return [range(first := raw[:offset].count(b"\n") + 1, first + block.count(b"\n"))
+            for offset, block in _blocks_of(raw, size)]
+
+
+def _lines_for_the_per_line_decoder(raw: bytes, line_no: int, variant: str, block_bytes: int):
+    """The numbers of the lines of ``raw`` the per-line decoder takes, in order,
+    when ``variant`` changed line ``line_no``: none for a change the scan
+    keeps, each line of the block holding it for invalid UTF-8, both halves
+    of a record split over two lines, and else the changed line alone."""
+    if variant in _SCANNED_VARIANTS:
+        return []
+    if variant == "invalid-utf8":
+        return next(list(lines) for lines in _block_lines(raw, block_bytes) if line_no in lines)
+    return [line_no, line_no + 1] if variant == "spans-two-lines" else [line_no]
+
+
+def _outcomes_and_decoded_lines(raw: bytes, monkeypatch):
+    """``_per_line_outcome`` of ``raw`` in strict and lenient mode, and the
+    line numbers the per-line decoder took in each."""
+    outcomes, decoded = [], []
+    for strict in (True, False):
+        with monkeypatch.context() as patch:
+            lines = _decoded_lines(patch)
+            outcomes.append(_per_line_outcome(raw, strict))
+        decoded.append(lines)
+    return outcomes, decoded
+
+
+@pytest.mark.parametrize("where", [0, 5, -1])
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkeypatch):
+    """With one line changed, the result, error text, warnings and skipped
+    records of a bytes source equal those of the same lines as an iterable,
+    in strict and lenient mode. The one scan keeps a record that decodes:
+    a valid value, a CRLF line end, or a record that breaks a rule or warns.
+    Every other change sends the changed line alone, once, to the per-line
+    decoder, and every line of its block when the block is not UTF-8."""
+    lines = _synth_bytes("table1", 11 + where, with_texts=True).split(b"\n")[:-1]
+    line_no = where % len(lines) + 1
+    lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
+    raw = b"\n".join(lines) + b"\n"
+    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    outcomes, decoded = _outcomes_and_decoded_lines(raw, monkeypatch)
+    assert outcomes == expected
+    per_line = _lines_for_the_per_line_decoder(raw, line_no, variant, data.BLOCK_BYTES)
+    assert decoded == [per_line, per_line]
+
+
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
 def test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block(variant, monkeypatch):
     """Read in blocks of a few hundred bytes, a file with one line changed in
     a middle block gives the result, error text, line numbers, warnings and
     skipped records of its lines as an iterable, in strict and lenient mode.
-    The per-line loop runs only on a block that holds the changed line."""
+    The per-line decoder takes only the changed line or lines, each once, or
+    the lines of its block when the block is not UTF-8."""
     monkeypatch.setattr(data, "BLOCK_BYTES", 300)
     lines = _synth_bytes("table1", 13, with_texts=True).split(b"\n")[:-1]
     where = len(lines) // 2
@@ -657,20 +699,36 @@ def test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block(variant,
     blocks = _blocks_of(raw, 300)
     assert len(blocks) >= 5 and blocks[0][1] != raw
     assert changed_start > len(blocks[0][1]) and changed_end < len(raw) - len(blocks[-1][1])
-    holding = {block for offset, block in blocks
-               if offset < changed_end and offset + len(block) > changed_start}
     expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
-    sources = []
-    iter_lines = data._iter_lines
+    outcomes, decoded = _outcomes_and_decoded_lines(raw, monkeypatch)
+    assert outcomes == expected
+    per_line = _lines_for_the_per_line_decoder(raw, where + 1, variant, 300)
+    assert decoded == [per_line, per_line]
 
-    def recorded(source):
-        sources.append(source)
-        return iter_lines(source)
 
-    monkeypatch.setattr(data, "_iter_lines", recorded)
-    assert [_per_line_outcome(raw, strict) for strict in (True, False)] == expected
-    assert set(sources) <= holding
-    assert bool(sources) == (variant not in _SCANNED_VARIANTS)
+_PER_LINE_VARIANTS = sorted(
+    set(_VARIANTS) - _SCANNED_VARIANTS - {"invalid-utf8", "spans-two-lines", "blank-line"}
+)
+
+
+def test_blocks_each_with_a_changed_line_decode_only_those_lines(monkeypatch):
+    """A file with one line the scan cannot take in each of several blocks of
+    a few hundred bytes gives the result of its lines as an iterable, in
+    strict and lenient mode, and the per-line decoder takes those lines alone,
+    each once."""
+    monkeypatch.setattr(data, "BLOCK_BYTES", 300)
+    lines = _synth_bytes("table1", 23, 20, 15, with_texts=True).split(b"\n")[:-1]
+    raw = b"\n".join(lines) + b"\n"
+    changed = [block.start for block in _block_lines(raw, 300)][1:-1]  # each block's first line
+    for line_no, variant in zip(changed, itertools.cycle(_PER_LINE_VARIANTS)):
+        lines[line_no - 1] = _VARIANTS[variant](lines[line_no - 1], lines[line_no - 2])
+    raw = b"\n".join(lines) + b"\n"
+    holding = [sum(line_no in block for line_no in changed) for block in _block_lines(raw, 300)]
+    assert max(holding) == 1 and sum(holding) == len(changed) >= len(_PER_LINE_VARIANTS)
+    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    outcomes, decoded = _outcomes_and_decoded_lines(raw, monkeypatch)
+    assert outcomes == expected
+    assert decoded == [changed, changed]
 
 
 @pytest.mark.parametrize("block_bytes", [64, 300, 1000])
@@ -679,8 +737,8 @@ def test_blocks_parse_generated_files_as_the_per_line_loop(shape, block_bytes, t
                                                           monkeypatch):
     """Non-ASCII and escaped texts, CRLF line ends, no last newline and lines
     longer than a block (every line, at 64 bytes) read in blocks from a path
-    or bytes give the per-line loop's result on the same lines, with no block
-    taking the per-line loop."""
+    or bytes give the per-line loop's result on the same lines, with no line
+    taking the per-line decoder."""
     monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
     raw = _synth_bytes("table1", 17, 40, 30, with_texts=True)
     if shape.startswith("crlf"):
@@ -691,9 +749,10 @@ def test_blocks_parse_generated_files_as_the_per_line_loop(shape, block_bytes, t
     path = tmp_path / "d.jsonl"
     path.write_bytes(raw)
     expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
-    monkeypatch.setattr(data, "_iter_lines", _no_per_line_loop)
+    decoded = _decoded_lines(monkeypatch)
     for source in (raw, path):
         assert [_per_line_outcome(source, strict) for strict in (True, False)] == expected
+    assert decoded == []
 
 
 def _parse_through_a_pipe(raw: bytes, strict: bool):

@@ -10,6 +10,7 @@ from argstruct.evaluation import (
     KTooSmallError,
     LengthMismatchError,
     MetricSet,
+    NonBinaryLabelError,
     TooFewFoldsError,
     aggregate,
     confusion,
@@ -63,6 +64,16 @@ def test_kfold_corpus_sized_counts():
 def test_kfold_class_too_small():
     with pytest.raises(ClassTooSmallError):
         stratified_kfold([1, 1, 1] + [0] * 10, 5, seed=0)
+
+
+def test_kfold_rejects_a_label_other_than_0_or_1():
+    """Such a row would fall in no test fold and in every training split."""
+    with pytest.raises(NonBinaryLabelError, match="label 2 is not 0 or 1"):
+        stratified_kfold([0, 1, 0, 1, 0, 1, 2, 2], 2)
+    with pytest.raises(NonBinaryLabelError, match="label 0.5 is not 0 or 1"):
+        stratified_kfold([0.0, 1.0] * 4 + [0.5], 2)
+    floats = stratified_kfold([0.0, 1.0] * 4, 2, seed=1)  # as inner CV passes its labels
+    assert floats == stratified_kfold([0, 1] * 4, 2, seed=1)
 
 
 def test_kfold_k_too_small():

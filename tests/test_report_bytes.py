@@ -2,9 +2,10 @@
 
 The seed-501 corpus (227 hateful, 136 non-hateful ``table1`` messages) runs
 the paper's 8 x 4 x 5 grid with seed 501, once serially in the default mode
-and once at default jobs with ``--inner-cv``. The digests pin each run's
-markdown, csv and json reports, and every fold fit of the default run through
-``model_to_dict``, one digest per family over its fits in grid order.
+and at default jobs with ``--inner-cv``, ``--hard-stage1`` and both. The
+digests pin each run's markdown, csv and json reports, and every fold fit of
+the default run through ``model_to_dict``, one digest per family over its fits
+in grid order.
 
 Float sums go through BLAS, so another numpy or BLAS build may move a digest
 with no change to the code. The failure names each digest that moved, and
@@ -37,6 +38,18 @@ PINNED = {
         "98cc146bde241afe7f79589ae442114b08e03231fdd40422f45e5e4263e61e0a",
     "inner-cv/json":
         "fdeb729f28ad3b972a25fba52228e1124e14ab55b52c463e4be804d18f0e433a",
+    "hard-stage1/markdown":
+        "a621415d3ba13c0eb1429fffa6e1d907d34e00ff085d95257d652ae301aab686",
+    "hard-stage1/csv":
+        "674b113981cbe1bcfda2b416fdf85d7c9536ab8b3cfd7c8685663e5b8e2ec1a3",
+    "hard-stage1/json":
+        "9790c66836d91c19603a8cecb427d40492d7db4abbf4018d07b7bb7c329e1728",
+    "inner-cv-hard-stage1/markdown":
+        "9d935e5dc6235951b162a5576645b8ca79acb49989cfb609160028e033153de7",
+    "inner-cv-hard-stage1/csv":
+        "4e297e622390130155588201deccd78926a087052443837e1bce3c58cdc83548",
+    "inner-cv-hard-stage1/json":
+        "f5515ea6e9f668d91f42729d797a87657aa267bee8af48ca729b2754f15370bf",
     "default/models/gbt (40 fits)":
         "ceaef7f343fbcc7ccf94e52cd7a2535bc52532e3608cb419fd795003115cccec",
     "default/models/lgr (40 fits)":
@@ -66,6 +79,9 @@ def _digests(monkeypatch) -> dict:
     reports = {"default": run_grid(dataset, replace(cfg, jobs=1))}
     monkeypatch.undo()
     reports["inner-cv"] = run_grid(dataset, replace(cfg, inner_cv=True))
+    reports["hard-stage1"] = run_grid(dataset, replace(cfg, hard_stage1=True))
+    reports["inner-cv-hard-stage1"] = run_grid(dataset, replace(cfg, inner_cv=True,
+                                                                hard_stage1=True))
     digests = {
         f"{mode}/{fmt}": _sha256(emit_report(report, fmt))
         for mode, report in reports.items() for fmt in ("markdown", "csv", "json")
