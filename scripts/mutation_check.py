@@ -98,6 +98,20 @@ MUTATIONS = (
         "return np.concatenate([starts[:0], chosen])",
         ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
     ),
+    Mutation(  # a node of weight 0 or 1 is a leaf by purity alone
+        "split-without-purity-test",
+        _TREE,
+        "leaf |= _one_value(t, block, W > 0)",
+        "leaf |= False",
+        ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
+    ),
+    Mutation(
+        "sorted-split-threshold-of-column-0",
+        _TREE,
+        "thresholds[np.arange(a), best]",
+        "thresholds[np.arange(a), 0]",
+        ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
+    ),
     Mutation(
         "predict-chunk-drops-a-row",
         _TREE,
@@ -221,6 +235,13 @@ MUTATIONS = (
         "                    self.decode_line(text[start:end], line_no)\n"
         "                    start, line_no = end, line_no + 1\n",
         (f"{_CHANGED_LINE}[trailing-spaces-0]",),
+    ),
+    Mutation(  # the outcome stays; only the lines the per-line decoder takes show it
+        "scan-integer-id-not-read",
+        _DATA,
+        "                        msg_id = str(msg_id)\n",
+        "                        pass\n",
+        (f"{_CHANGED_LINE}[integer-id-0]",),
     ),
     Mutation(
         "scan-keeps-a-left-records-components",

@@ -25,11 +25,11 @@ lines (``BLOCK_BYTES`` and the rest of the line they end in), so no more than
 a block of the source is held as bytes and text at once. Each block is
 decoded as UTF-8 and walked with the json module's C scanner, the one
 ``json.loads`` uses. A line the scan cannot take (invalid JSON, a key, value
-or type the format does not allow, an integer id, or not one record on its
-line; a CRLF line end is fine) goes alone to the per-line decoder, which an
-iterable of lines and a block that is not UTF-8 take line by line; the scan
-resumes at the next line. Both write into the same columns, line numbers run
-on across blocks, and one check of the record rules judges all records.
+or type the format does not allow, or not one record on its line; a CRLF
+line end is fine) goes alone to the per-line decoder, which an iterable of
+lines and a block that is not UTF-8 take line by line; the scan resumes at
+the next line. Both write into the same columns, line numbers run on across
+blocks, and one check of the record rules judges all records.
 Nesting within a few levels of the interpreter's recursion limit, where
 either path's outcome already depends on the caller's stack depth, is the
 one input the two may judge differently.
@@ -430,6 +430,8 @@ class _Records:
                         break
                     msg_id, components = record["id"], record["components"]
                     label = label_of[record["label"]]
+                    if type(msg_id) is int:  # read as its decimal string
+                        msg_id = str(msg_id)
                     if type(msg_id) is not str or type(components) is not list:
                         break
                     for c in components:

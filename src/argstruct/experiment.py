@@ -284,7 +284,9 @@ def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
     cells = _ordered_cells(cfg)
     tasks = _tasks(cells, dataset.premise_capacity)
     work = [[cells[i] for i in members] for members in tasks]
-    jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform can tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = cfg.jobs if cfg.jobs is not None else (cpus or 1)
     results = None
     if jobs > 1 and len(tasks) > 1:
         results = _pool_results(grid, work, min(jobs, len(tasks)))

@@ -163,17 +163,15 @@ def _check_training_data(X, y):
 
 
 def fit(spec: ModelSpec, X, y):
-    """Train a model of spec.family on (X, y); deterministic given the spec."""
-    from .boosting import fit_gbt
-    from .forest import fit_forest
-    from .linear import fit_linear
+    """Train a model of spec.family on (X, y); deterministic given the spec.
 
-    X, y = _check_training_data(X, y)
-    if spec.family in ("lgr", "svm"):
-        return fit_linear(spec, [(X, y)])[0]
-    if spec.family == "rforest":
-        return fit_forest(spec, X, y)
-    return fit_gbt(spec, [(X, y)])[0]
+    The forest is fitted here; gbt, lgr and svm are a batch of one for ``fit_each``.
+    """
+    from .forest import fit_forest
+
+    if spec.family != "rforest":
+        return fit_each(spec, [(X, y)])[0]
+    return fit_forest(spec, *_check_training_data(X, y))
 
 
 def fit_each(spec: ModelSpec, problems):

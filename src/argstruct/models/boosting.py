@@ -13,7 +13,8 @@ node's weight row, targets and sorted columns span that block alone.
 order, and so does each leaf's Newton step, so each model is bitwise the one
 a batch of one gives. Block i then takes its rows' leaf values from tree i
 alone. The models of a batch share one set of node arrays, each holding the
-roots of its own trees.
+roots of its own trees. A model's score, through ``Trees.row_scores``, is the
+sigmoid of its base score plus its shrunk steps, summed in tree order.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import Classifier, dedup_rows
 from .linear import sigmoid
-from .tree import Blocks, Trees, distinct_rows, grow_trees, node_slices, row_chunks, sse_gain
+from .tree import Blocks, Trees, grow_trees, node_slices, sse_gain
 
 
 @dataclass(frozen=True)
@@ -34,27 +35,25 @@ class GradientBoostedModel(Classifier):
     n_features: int
 
     def scores(self, X):
-        U, inverse = distinct_rows(X)
-        F = np.empty(len(U))
-        for rows in row_chunks(len(U)):
-            leaf = self.trees.leaf_values(U[None, rows])
+        def probability(leaf):
             terms = np.empty((len(leaf) + 1, leaf.shape[1]))  # the base score, then each step
             terms[0] = self.base_score
             np.multiply(self.shrinkage, leaf, out=terms[1:])
             # summed in tree order, as the rounds added them: float sums depend on it
-            F[rows] = np.add.accumulate(terms, out=terms)[-1]
-        return sigmoid(F)[inverse]
+            return sigmoid(np.add.accumulate(terms, out=terms)[-1])
+
+        return self.trees.row_scores(X, probability)
 
 
 def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
     """One model per checked (X, y) problem; all problems share a width."""
     k = len(problems)
-    deduped = [dedup_rows(X, y) for X, y in problems]
-    blocks = Blocks([unique for unique, _, _, _ in deduped])
-    y_u = blocks.pad([y for _, y, _, _ in deduped])
-    counts = blocks.pad([c for _, _, c, _ in deduped])  # 0 exactly on the padding rows
+    uniques, ys, cs, inverses = zip(*(dedup_rows(X, y) for X, y in problems))
+    blocks = Blocks(uniques)
+    y_u = blocks.pad(ys)
+    counts = blocks.pad(cs)  # 0 exactly on the padding rows
     bases = []
-    for (X, _), (_, y, c, _) in zip(problems, deduped):
+    for (X, _), y, c in zip(problems, ys, cs):
         p0 = float((c @ y) / len(X))
         bases.append(float(np.log(p0 / (1.0 - p0))))
     F = np.repeat(np.array(bases)[:, None], counts.shape[1], axis=1)
@@ -76,7 +75,7 @@ def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
 
         if spec.subsample < 1.0:
             weights = np.zeros_like(counts)
-            for i, ((X, _), (_, _, _, inverse)) in enumerate(zip(problems, deduped)):
+            for i, ((X, _), inverse) in enumerate(zip(problems, inverses)):
                 rng = np.random.default_rng([spec.seed, r])
                 m = max(1, int(round(spec.subsample * len(X))))
                 picked = rng.choice(len(X), size=m, replace=False)

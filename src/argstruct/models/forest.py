@@ -8,7 +8,8 @@ appending constant columns. All trees grow together (``grow_trees``): their
 bootstraps are one trees x unique-rows weight matrix, and because weights
 are counts and targets 0/1, every node sum is an exact integer. Each
 lockstep step draws the feature subsets of all its nodes in one call, one
-permutation per node from that node's tree's stream.
+permutation per node from that node's tree's stream. A forest's score is
+its vote share, through ``Trees.row_scores``.
 """
 
 import math
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import Classifier, dedup_rows
-from .tree import (
-    Blocks, Trees, distinct_rows, entropy_gain, gini_gain, grow_trees, row_chunks,
-)
+from .tree import Blocks, Trees, entropy_gain, gini_gain, grow_trees
 
 
 @dataclass(frozen=True)
@@ -30,11 +29,7 @@ class RandomForestModel(Classifier):
 
     def scores(self, X):
         """Fraction of trees whose leaf votes hateful."""
-        U, inverse = distinct_rows(X)
-        votes = np.zeros(len(U))
-        for rows in row_chunks(len(U)):
-            votes[rows] = self.trees.leaf_values(U[None, rows]).sum(axis=0)
-        return (votes / len(self.trees))[inverse]
+        return self.trees.row_scores(X, lambda leaf: leaf.sum(axis=0) / len(self.trees))
 
 
 def fit_forest(spec, X, y) -> RandomForestModel:

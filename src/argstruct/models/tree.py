@@ -28,15 +28,16 @@ come from a second such product when targets are integers, where every sum
 is exact; float targets are summed per node over the node's own rows and
 candidate columns, in row order, so a tree's sums depend neither on the
 nodes it shares a step with nor on rows its weights leave out. Children
-that are leaves by depth, weight or purity get their values when created.
+that are leaves by depth or purity get their values when created.
 
 Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
 its root reaches. ``Trees.leaf_values`` descends all trees at once, one step
 per level, over rows in the build's block layout: prediction's distinct rows
 as one block, and in boosting's per-round update the blocks it grew over.
 Each step gathers each (tree, row)'s value from the flat rows and its child
-from one table of (right, left) pairs. ``distinct_rows`` sorts rows on keys:
-a run of up to 52 adjacent 0/1 columns is one key, any other column its own.
+from one table of (right, left) pairs; ``Trees.row_scores`` reduces it to
+both ensembles' scores. ``distinct_rows`` sorts rows on keys: a run of up to
+52 adjacent 0/1 columns is one key, any other column its own.
 """
 
 from dataclasses import dataclass
@@ -48,7 +49,6 @@ GAIN_EPS = 1e-12
 KEY_BITS = 52  # a run's key is an integer below 2**52, exact in a float
 PREDICT_ROWS = 128  # distinct rows a prediction descends at a time
 CHECK_ROWS = 1024  # rows ``distinct_rows`` checks for 0/1 columns at a time
-MIN_SAMPLES_SPLIT = 2
 
 
 def gini_gain(n, T, nL, TL):
@@ -141,11 +141,16 @@ class Trees:
             # before its row, or the flat X's last, and goes to itself either way
             node = child[(flat[start + f] <= self.threshold[node]) + 2 * node]
 
-
-def row_chunks(n):
-    """Slices of rows 0..n-1, ``PREDICT_ROWS`` at a time: prediction descends
-    and reduces each before the next, so its (trees, rows) arrays stay small."""
-    return [slice(start, start + PREDICT_ROWS) for start in range(0, n, PREDICT_ROWS)]
+    def row_scores(self, X, reduce):
+        """One score per row of the 2-D ``X``. Each distinct row descends once,
+        ``PREDICT_ROWS`` at a time, and ``reduce`` turns each chunk's (trees, rows)
+        leaf values into one score per row, so no array is trees x all rows."""
+        U, inverse = distinct_rows(X)
+        scores = np.empty(len(U))
+        for start in range(0, len(U), PREDICT_ROWS):
+            rows = slice(start, start + PREDICT_ROWS)
+            scores[rows] = reduce(self.leaf_values(U[None, rows]))
+        return scores[inverse]
 
 
 def distinct_rows(X):
@@ -324,14 +329,14 @@ def grow_trees(blocks, t, weights, max_depth, gain_fn, leaf_fn, choose_features=
         nodes.leaves.append((ids, np.asarray(leaf_fn(W, block), dtype=float)))
 
     def settle(trees, ids, depth, W):
-        # leaves by depth, weight or purity get their values now, the rest
-        # are returned for a step
+        # leaves by depth or purity get their values now (weights are counts,
+        # so a node of weight below 2 is pure), the rest are returned for a step
         block = tree_block[trees]
         leaf = depth >= max_depth
         if leaf.all():
             leaves(ids, W, block)
             return ()
-        leaf |= (W.sum(axis=1) < MIN_SAMPLES_SPLIT) | _one_value(t, block, W > 0)
+        leaf |= _one_value(t, block, W > 0)
         if leaf.any():
             leaves(ids[leaf], W[leaf], block[leaf])
         keep = ~leaf
@@ -442,18 +447,14 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
     gains = np.full(nR.shape, -np.inf)
     nn, tt = n[node, 0], T[node, 0]
     gains[node, col] = gain_fn(nn, tt, nn - nR[node, col], tt - TR[node, col])
-    sorted_thresholds = {}
+    thresholds = np.full(nR.shape, 0.5)
     for j, column in blocks.sorted_cols.items():
         sel = (candidate[:, j] & ~in_node_binary[:, j]).nonzero()[0]
         if len(sel):
-            sorted_thresholds[j] = np.full(a, 0.5)
-            gains[sel, j], sorted_thresholds[j][sel] = _sorted_split(
+            gains[sel, j], thresholds[sel, j] = _sorted_split(
                 [c[block[sel]] for c in column], W[sel], Wt[sel], n[sel], T[sel],
                 gain_fn,
             )
 
     best = gains.argmax(axis=1)  # first max: lowest feature index wins ties
-    threshold = np.full(a, 0.5)
-    for j, thr in sorted_thresholds.items():
-        threshold = np.where(best == j, thr, threshold)
-    return np.where(gains.max(axis=1) > GAIN_EPS, best, -1), threshold
+    return np.where(gains.max(axis=1) > GAIN_EPS, best, -1), thresholds[np.arange(a), best]

@@ -616,7 +616,7 @@ _VARIANTS = {
 
 
 _SCANNED_VARIANTS = {
-    "hate-unannotated", "crlf", "duplicate-id", "partial-annotation", "no-premise",
+    "hate-unannotated", "crlf", "integer-id", "duplicate-id", "partial-annotation", "no-premise",
     "two-conclusions", "conclusion-first", "no-conclusion",
 }
 
@@ -719,10 +719,14 @@ def test_blocks_each_with_a_changed_line_decode_only_those_lines(monkeypatch):
     monkeypatch.setattr(data, "BLOCK_BYTES", 300)
     lines = _synth_bytes("table1", 23, 20, 15, with_texts=True).split(b"\n")[:-1]
     raw = b"\n".join(lines) + b"\n"
-    changed = [block.start for block in _block_lines(raw, 300)][1:-1]  # each block's first line
-    for line_no, variant in zip(changed, itertools.cycle(_PER_LINE_VARIANTS)):
-        lines[line_no - 1] = _VARIANTS[variant](lines[line_no - 1], lines[line_no - 2])
-    raw = b"\n".join(lines) + b"\n"
+    # the first line of each block but the first and last, front to back: a
+    # change moves the blocks after its own, so each is found after the last
+    changed, variants = [], itertools.cycle(_PER_LINE_VARIANTS)
+    while len(blocks := _block_lines(raw, 300)) > len(changed) + 2:
+        line_no = blocks[len(changed) + 1].start
+        lines[line_no - 1] = _VARIANTS[next(variants)](lines[line_no - 1], lines[line_no - 2])
+        raw = b"\n".join(lines) + b"\n"
+        changed.append(line_no)
     holding = [sum(line_no in block for line_no in changed) for block in _block_lines(raw, 300)]
     assert max(holding) == 1 and sum(holding) == len(changed) >= len(_PER_LINE_VARIANTS)
     expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]

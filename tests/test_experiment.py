@@ -291,6 +291,22 @@ def test_grid_falls_back_to_serial_when_pool_cannot_start(
         assert emit_report(fallback, fmt) == emit_report(serial, fmt)
 
 
+def test_default_jobs_count_only_the_cpus_the_process_may_run_on(tiny_dataset, monkeypatch):
+    # four CPUs in the machine, one of them this process's: no pool starts
+    def no_pool(*args, **kwargs):
+        pytest.fail("a process pool started for a process that may run on one CPU")
+
+    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-p"), models=(ModelSpec("lgr"),), k=2,
+                           jobs=1)
+    serial = run_grid(tiny_dataset, cfg)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+    default = run_grid(tiny_dataset, replace(cfg, jobs=None))
+    for fmt in ("markdown", "csv", "json"):
+        assert emit_report(default, fmt) == emit_report(serial, fmt)
+
+
 def test_cell_error_in_pool_propagates_unchanged(tiny_dataset, monkeypatch, capsys):
     def single_class(spec, problems):
         raise SingleClassError("training labels contain a single class")
