@@ -720,7 +720,7 @@ def test_blocks_each_with_a_changed_line_decode_only_those_lines(monkeypatch):
     lines = _synth_bytes("table1", 23, 20, 15, with_texts=True).split(b"\n")[:-1]
     raw = b"\n".join(lines) + b"\n"
     # the first line of each block but the first and last, front to back: a
-    # change moves the blocks after its own, so each is found after the last
+    # change moves every block after its own, so each is found after the change
     changed, variants = [], itertools.cycle(_PER_LINE_VARIANTS)
     while len(blocks := _block_lines(raw, 300)) > len(changed) + 2:
         line_no = blocks[len(changed) + 1].start
