@@ -63,6 +63,21 @@ MUTATIONS = (
         "parts.append(wt @ X[b][rows[r][:, None], cs])",
         ("tests/test_tree_builder.py::test_fit_each_matches_recursive_builder_on_corpus_folds",),
     ),
+    Mutation(  # the batched sums decide every node, near-ties too
+        "gbt-exact-fallback-never-taken",
+        _TREE,
+        "        if len(u):\n",
+        "        if False:\n",
+        ("tests/test_tree_builder.py::test_gbt_exact_ties_follow_recursive_builder",
+         "tests/test_report_bytes.py::test_grid_report_and_model_bytes_are_pinned"),
+    ),
+    Mutation(  # a near-tie between two boundaries of one column goes unseen
+        "gbt-runner-up-from-column-maxima",
+        _TREE,
+        "    others[r, best] = seconds[r, best]\n",
+        "    others[r, best] = -np.inf\n",
+        ("tests/test_tree_builder.py::test_gbt_matches_recursive_builder",),
+    ),
     Mutation(
         "block-gather-wrong-block",
         _TREE,
@@ -108,8 +123,8 @@ MUTATIONS = (
     Mutation(
         "sorted-split-threshold-of-column-0",
         _TREE,
-        "thresholds[np.arange(a), best]",
-        "thresholds[np.arange(a), 0]",
+        "thresholds[r, best]",
+        "thresholds[r, 0]",
         ("tests/test_tree_builder.py::test_forest_matches_recursive_builder",),
     ),
     Mutation(
@@ -150,8 +165,8 @@ MUTATIONS = (
     Mutation(
         "linear-no-freeze",
         _LINEAR,
-        "            stepping = ~np.concatenate([stop[col_owner], stop])",
-        "            stepping = True",
+        "                stepping = ~np.concatenate([stop[col_owner], stop])",
+        "                stepping = True",
         ("tests/test_linear.py::test_corpus_folds_freeze_at_their_own_iteration",),
     ),
     Mutation(
@@ -324,6 +339,13 @@ MUTATIONS = (
         "stage1 = fit_each(model_spec, [(X1, y) for t in trains])",
         ("tests/test_experiment.py::test_two_stage_never_trains_stage1_on_test_rows",),
     ),
+    Mutation(  # arg-str differs from arg-str-p in a constant column: no cell is shared
+        "grid-shares-only-equal-designs",
+        "src/argstruct/experiment.py",
+        "if np.array_equal(matrices[first][:, columns], X[:, varying])",
+        "if np.array_equal(matrices[first], X)",
+        ("tests/test_experiment.py::test_grid_fits_each_shared_fold_model_once",),
+    ),
     Mutation(  # the inner folds move, and only the pinned bytes show it
         "inner-cv-seed-moved",
         "src/argstruct/experiment.py",
@@ -334,14 +356,17 @@ MUTATIONS = (
 )
 
 # Edits no test can tell from the original, with the search that was made.
-# fit_linear's stop test sums dw * dw with BLAS ddot; numpy's pairwise
-# np.add.reduce(dwi * dwi) can differ from it in the last bit, which moves a
-# problem's stop iteration only when the gradient norm lands within an ulp of
-# GRAD_TOL. Search: every fit of the 5-fold grid on the seed 501-510 corpora,
-# with and without inner CV, for lgr and svm at their defaults, lgr at
-# learning rate 5.0 and L2 0.003, and log-loss svm at learning rate 5.0 (the
-# last two stop before max_iter): 5,200 fits, each with the same weight and
-# bias bits under either sum.
+# fit_linear's stop test takes a problem's own dw @ dw with BLAS ddot, and only
+# when the batched sum of squares lies within a relative 1e-9 of GRAD_TOL**2;
+# numpy's pairwise np.add.reduce(dwi * dwi) can differ from ddot in the last
+# bit, which moves a problem's stop iteration only when the gradient norm
+# lands within an ulp of GRAD_TOL. Search (before the batched test, when every
+# iteration took the ddot): every fit of the 5-fold grid on the seed 501-510
+# corpora, with and without inner CV, for lgr and svm at their defaults, lgr
+# at learning rate 5.0 and L2 0.003, and log-loss svm at learning rate 5.0
+# (the last two stop before max_iter): 5,200 fits, each with the same weight
+# and bias bits under either sum. The margin now leaves only that band to the
+# exact sum, so the edit can matter in fewer steps still.
 #
 # Encoding and prediction write each chunk's rows and add nothing to them, so
 # a row that two chunks hold gets the same values twice.
@@ -349,8 +374,8 @@ EQUIVALENT = (
     Mutation(
         "linear-stop-sum-order",
         _LINEAR,
-        "sq[i] = np.dot(dwi, dwi)",
-        "sq[i] = np.add.reduce(dwi * dwi)",
+        "np.dot(dws[i], dws[i])",
+        "np.add.reduce(dws[i] * dws[i])",
         (),
     ),
     Mutation(

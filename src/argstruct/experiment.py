@@ -14,6 +14,16 @@ its stage-1 family (``encodings.stage_one_spec``) and the same model spec,
 and takes that cell's k fold models as its stage 1 instead of fitting them
 again. The models are dropped when the two-stage cell takes them. Inner-CV
 fits are never shared, because their rows differ.
+
+Static encodings whose designs agree on every column that is not constant
+over the dataset (``arg-str`` is ``arg-str-p`` plus the conclusion bit, which
+every message sets) are evaluated once per model spec (``_shared_families``),
+and their other cells copy that cell's result. Every family fits such designs
+alike: lgr and svm drop the columns constant over the training rows, the
+trees never split on them and the forest never draws them, and
+``distinct_rows`` orders the rows alike. So the fold models agree, and with
+them each fold's predictions: tree scores bit for bit, and linear scores up to
+the last bits of ``X @ w``, whose BLAS blocking follows the width.
 """
 
 import json
@@ -21,7 +31,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -207,16 +217,40 @@ def _ordered_cells(cfg: ExperimentConfig):
     return [(e, m) for e in encodings for m in models]
 
 
-def _tasks(cells, capacity) -> list[list[int]]:
+def _shared_families(matrices, families, capacity) -> dict[str, str]:
+    """Each static family of ``families`` mapped to the family whose cells it
+    shares: families whose designs agree on every column that is not constant
+    over the dataset form a group, whose first family in grid order stands for
+    it, or its stage-1 provider if it holds one, as that cell's fold models
+    feed a two-stage cell."""
+    specs = [EncodingSpec(family, capacity) for family in set(families)]
+    providers = {stage_one_spec(spec).family for spec in specs if spec.two_stage}
+    static = [spec.family for spec in specs if not spec.two_stage]
+    shared, firsts = {}, []  # firsts: each group's first family and varying columns
+    for family in sorted(static, key=lambda f: (f not in providers, FAMILIES.index(f))):
+        X = matrices[family]
+        varying = (X != X[:1]).any(axis=0)
+        shared[family] = next((
+            first for first, columns in firsts
+            if np.array_equal(matrices[first][:, columns], X[:, varying])
+        ), family)
+        if shared[family] == family:
+            firsts.append((family, varying))
+    return shared
+
+
+def _tasks(cells, capacity, shared) -> list[list[int]]:
     """Group cell indices into tasks by (premise-only family, model spec): a
     two-stage cell joins the premise-only cell of its stage-1 family, every
-    other cell runs alone. Multi-cell tasks, the costliest, come first, then
+    other cell runs alone, and a cell whose family ``shared`` maps to another
+    family runs in no task. Multi-cell tasks, the costliest, come first, then
     the rest by their first cell."""
     groups: dict[tuple, list[int]] = {}
     for i, (family, model_spec) in enumerate(cells):
         enc = EncodingSpec(family, capacity)
-        key = stage_one_spec(enc).family if enc.two_stage else family
-        groups.setdefault((key, model_spec), []).append(i)
+        if enc.two_stage or shared[family] == family:
+            key = stage_one_spec(enc).family if enc.two_stage else family
+            groups.setdefault((key, model_spec), []).append(i)
     return sorted(groups.values(), key=lambda members: (len(members) == 1, members[0]))
 
 
@@ -274,15 +308,18 @@ def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
 
     Each two-stage cell runs as one task with the premise-only cell of its
     stage-1 family and model spec, and reuses that cell's fold models as its
-    stage 1 (``_tasks``); every other cell is a task of its own. Tasks are
-    independent pure computations; with jobs > 1 they run in worker
-    processes (serially if the pool cannot start), and results are identical
-    for every jobs value.
+    stage 1 (``_tasks``); a static cell whose design equals another's on its
+    varying columns copies that cell's result (``_shared_families``); every
+    other cell is a task of its own. Tasks are independent pure computations;
+    with jobs > 1 they run in worker processes (serially if the pool cannot
+    start), and results are identical for every jobs value.
     """
     folds = stratified_kfold(dataset.labels(), cfg.k, cfg.seed)
-    grid = (dataset, cfg, folds, design_matrices(dataset, cfg.encodings))
+    matrices = design_matrices(dataset, cfg.encodings)
+    grid = (dataset, cfg, folds, matrices)
     cells = _ordered_cells(cfg)
-    tasks = _tasks(cells, dataset.premise_capacity)
+    shared = _shared_families(matrices, cfg.encodings, dataset.premise_capacity)
+    tasks = _tasks(cells, dataset.premise_capacity, shared)
     work = [[cells[i] for i in members] for members in tasks]
     # the CPUs this process may run on, where the platform can tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -293,6 +330,10 @@ def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
     if results is None:
         results = [_run_task(*grid, task) for task in work]
     rows = dict(zip(chain(*tasks), chain(*results)))
+    ran = {cells[i]: row for i, row in rows.items()}
+    for i, (family, model_spec) in enumerate(cells):
+        if i not in rows:
+            rows[i] = replace(ran[shared[family], model_spec], encoding=family)
     return ExperimentReport(k=cfg.k, seed=cfg.seed, rows=tuple(rows[i] for i in range(len(cells))))
 
 

@@ -9,12 +9,13 @@ the largest, built once per batch together with the column state every round
 reads. Each round grows every problem's tree in one ``grow_trees`` call: tree
 i weights only block i, with its counts or its round's subsample, and a
 node's weight row, targets and sorted columns span that block alone.
-``grow_trees`` takes a node's float sums over that node's own rows in row
-order, and so does each leaf's Newton step, so each model is bitwise the one
-a batch of one gives. Block i then takes its rows' leaf values from tree i
-alone. The models of a batch share one set of node arrays, each holding the
-roots of its own trees. A model's score, through ``Trees.row_scores``, is the
-sigmoid of its base score plus its shrunk steps, summed in tree order.
+``grow_trees`` splits each node as the node's own float sums, over its own
+rows in row order, split it, and each leaf's Newton step sums the leaf's own
+rows, so each model is bitwise the one a batch of one gives. Block i then
+takes its rows' leaf values from tree i alone. The models of a batch share
+one set of node arrays, each holding the roots of its own trees. A model's
+score, through ``Trees.row_scores``, is the sigmoid of its base score plus
+its shrunk steps, summed in tree order.
 """
 
 from dataclasses import dataclass, replace
@@ -67,11 +68,8 @@ def fit_gbt(spec, problems) -> list[GradientBoostedModel]:
             # Newton step over each leaf's own rows, in row order
             node, rows = W.nonzero()
             ws, gs, hs = W[node, rows], grad[block[node], rows], hess[block[node], rows]
-            values = []
-            for s in node_slices(node, len(W)):
-                w = ws[s]
-                values.append(float((w @ gs[s]) / (w @ hs[s] + 1e-16)))
-            return values
+            sums = np.array([(ws[s] @ gs[s], ws[s] @ hs[s]) for s in node_slices(node, len(W))])
+            return sums[:, 0] / (sums[:, 1] + 1e-16)
 
         if spec.subsample < 1.0:
             weights = np.zeros_like(counts)

@@ -51,10 +51,12 @@ def fit_linear(spec, problems) -> list[LinearModel]:
     from zero and stop at max_iter or once the gradient norm is below GRAD_TOL.
 
     Each problem keeps its own unpadded BLAS products and sums (``U @ w``,
-    ``Ut @ r``, ``r.sum()``, ``dw @ dw``), whose bits depend on summation
-    order; the elementwise steps, whose bits do not, run once over all
-    problems' rows and columns. A problem that reaches GRAD_TOL freezes while
-    the others go on, so every model is bitwise the one it gets alone.
+    ``Ut @ r``, ``r.sum()``), whose bits depend on summation order; the
+    elementwise steps, whose bits do not, run once over all problems' rows
+    and columns. The stop test sums every problem's squared gradient at once
+    and takes a problem's own ``dw @ dw`` only when that sum lies within
+    rounding of GRAD_TOL. A problem that reaches GRAD_TOL freezes while the
+    others go on, so every model is bitwise the one it gets alone.
     """
     log = spec.family == "lgr" or spec.loss == "log"
     consts, Us, yus, wns = [], [], [], []
@@ -80,16 +82,20 @@ def fit_linear(spec, problems) -> list[LinearModel]:
     # shared buffers; np.dot with out= makes the same gemv and ddot calls as @.
     theta, grad = np.zeros(width + k), np.empty(width + k)
     w, b, dw, db = theta[:width], theta[width:], grad[:width], grad[width:]
-    z, r, g, sq = np.empty(len(yu)), np.empty(len(yu)), np.empty(width), np.empty(k)
+    z, r, g = np.empty(len(yu)), np.empty(len(yu)), np.empty(width)
     row_cuts, col_cuts = np.cumsum(n_rows)[:-1], np.cumsum(n_cols)[:-1]
     lanes = list(zip(
         range(k), Us, [np.ascontiguousarray(U.T) for U in Us],
         np.split(z, row_cuts), np.split(r, row_cuts),
-        np.split(w, col_cuts), np.split(g, col_cuts), np.split(dw, col_cuts),
+        np.split(w, col_cuts), np.split(g, col_cuts),
     ))
+    dws = np.split(dw, col_cuts)
+    # the band around GRAD_TOL**2 in which a problem's own ddot decides its stop
+    lo, hi = GRAD_TOL**2 * (1 - 1e-9), GRAD_TOL**2 * (1 + 1e-9)
+    stop = np.zeros(k, dtype=bool)  # the problems that have stopped, for good
     frozen, stepping = 0, True  # stepping: the entries of theta that still move
     for _ in range(spec.max_iter):
-        for _, U, _, zi, _, wi, _, _ in lanes:
+        for _, U, _, zi, _, wi, _ in lanes:
             np.dot(U, wi, out=zi)
         z += b[row_owner]
         if log:
@@ -97,25 +103,33 @@ def fit_linear(spec, problems) -> list[LinearModel]:
             r *= wn
         else:
             np.multiply(ws, s * z < 1.0, out=r)
-        for i, _, Ut, _, ri, _, gi, _ in lanes:
+        for i, _, Ut, _, ri, _, gi in lanes:
             np.dot(Ut, ri, out=gi)
             db[i] = np.add.reduce(ri) if log else -np.add.reduce(ri)
         if log:
             np.add(g, reg * w, out=dw)
         else:  # reg * w - g is -(Ut @ r) + reg * w, bit for bit
             np.subtract(reg * w, g, out=dw)
-        for i, *_, dwi in lanes:
-            sq[i] = np.dot(dwi, dwi)
-        stop = np.sqrt(sq + db * db) < GRAD_TOL
-        # a frozen problem's sq and db are never rewritten, so it stays stopped
-        if np.count_nonzero(stop) > frozen:
-            # these problems stop here, before this step, as each would alone
-            frozen = np.count_nonzero(stop)
-            if frozen == k:
-                break
-            lanes = [lane for lane in lanes if not stop[lane[0]]]
-            stepping = ~np.concatenate([stop[col_owner], stop])
-        np.subtract(theta, lr * grad, out=theta, where=stepping)
+        # each problem's squared gradient norm, summed in another order than
+        # its own ddot: the two differ by a relative (width + 1) * eps at most,
+        # so outside a relative 1e-9 of GRAD_TOL**2 both stop alike, and
+        # inside it the problem's own sum decides, as alone
+        norm2 = np.bincount(col_owner, dw * dw, k) + db * db  # float even with no columns
+        if (norm2 <= hi).any():
+            stop |= norm2 < lo
+            for i in np.flatnonzero((norm2 <= hi) & ~stop).tolist():
+                stop[i] = np.sqrt(np.dot(dws[i], dws[i]) + db[i] * db[i]) < GRAD_TOL
+            if np.count_nonzero(stop) > frozen:
+                # these problems stop here, before this step, as each would alone
+                frozen = np.count_nonzero(stop)
+                if frozen == k:
+                    break
+                lanes = [lane for lane in lanes if not stop[lane[0]]]
+                stepping = ~np.concatenate([stop[col_owner], stop])
+        if frozen:
+            np.subtract(theta, lr * grad, out=theta, where=stepping)
+        else:
+            theta -= lr * grad
     models = []
     for const, wi, bi in zip(consts, np.split(w, col_cuts), b):
         weights = np.zeros(len(const))

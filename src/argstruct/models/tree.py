@@ -23,12 +23,15 @@ draw random feature subsets, every step expands the next depth-first
 them, so each tree consumes its random stream in preorder; otherwise every
 pending node is expanded at once. A step gets all nodes' per-side counts
 from one batched product of their weights with their blocks' rows, a single
-matmul in a one-block build, which gathers no rows per node. Target sums
-come from a second such product when targets are integers, where every sum
-is exact; float targets are summed per node over the node's own rows and
-candidate columns, in row order, so a tree's sums depend neither on the
-nodes it shares a step with nor on rows its weights leave out. Children
-that are leaves by depth or purity get their values when created.
+matmul in a one-block build, and their target sums from a second. With
+integer targets every sum is exact. Float targets (boosting's gradients)
+give sums whose bits depend on their order, but the sums only choose a
+split: the batched ones decide each node whose best gain beats every other
+candidate and ``GAIN_EPS`` by more than a proven rounding bound, and only
+the other nodes sum their own rows and candidate columns in row order. So a
+tree's splits depend neither on the nodes it shares a step with nor on rows
+its weights leave out. Children that are leaves by depth or purity get
+their values when created.
 
 Grown trees are flat arrays (``Trees``) in which a tree is the set of nodes
 its root reaches. ``Trees.leaf_values`` descends all trees at once, one step
@@ -254,12 +257,12 @@ def _one_value(A, block, member):
     return ~(member & (_per_node(A, block) != first[:, None])).any(axis=1)
 
 
-def _column_sums(W, X, block):
-    """Each node's weighted column sums over its own block, exact while every
-    term is an integer."""
-    if len(X) == 1:
-        return W @ X[0]  # a one-block build gathers no rows per node
-    return (W[:, None] @ X[block])[:, 0]
+def _column_sums(W, Xb):
+    """Each node's weighted column sums over its own block: ``Xb`` is the one
+    block, or each node's block gathered. Exact while every term is an integer."""
+    if Xb.ndim == 2:
+        return W @ Xb  # a one-block build gathers no rows per node
+    return (W[:, None] @ Xb)[:, 0]
 
 
 def _sorted_column(x):
@@ -275,7 +278,8 @@ def _sorted_column(x):
 
 
 def _sorted_split(column, W, Wt, n, T, gain_fn):
-    """Best (gain, threshold) per node on one column with non-0/1 values.
+    """Best (gain, runner-up gain, threshold) per node on one column with
+    non-0/1 values; the runner-up is the best of the node's other boundaries.
 
     ``column`` holds each node's block's sort of the column. A candidate is
     the boundary after each value present in the node, except the largest;
@@ -298,7 +302,9 @@ def _sorted_split(column, W, Wt, n, T, gain_fn):
     lo, hi = values[r, best], values[r, nxt]
     thr = lo + (hi - lo) / 2
     thr = np.where(thr >= hi, lo, thr)  # midpoint rounded up to the right value
-    return g[r, best], thr
+    gain = g[r, best]
+    g[r, best] = -np.inf
+    return gain, g.max(axis=1), thr
 
 
 def grow_trees(blocks, t, weights, max_depth, gain_fn, leaf_fn, choose_features=None):
@@ -396,13 +402,16 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
     ``choose_features`` when given. A candidate column whose values in the
     node are all 0/1 splits at 0.5 and gets its right-side sums from a
     matmul; any other candidate takes the sorted search. Every array a node
-    reads is its own block's.
+    reads is its own block's. Float targets are scored from the batched sums
+    first; only the nodes those sums cannot decide (``_unsure``) are scored
+    again from their own sums (``_node_sums``).
     """
     X = blocks.X
     a = len(W)
     n = W.sum(axis=1, keepdims=True)
+    Xb = X[0] if len(X) == 1 else X[block]  # each node's block, gathered once a step
     # weight of the rows holding 1, for 0/1 columns; exact, as weights are counts
-    nR = _column_sums(W, X, block)
+    nR = _column_sums(W, Xb)
     varying = (nR > 0) & (nR < n)
     in_node_binary = np.ones(varying.shape, dtype=bool)
     member = W > 0
@@ -423,38 +432,86 @@ def _best_splits(blocks, t, W, block, integer_targets, gain_fn, choose_features,
         return np.full(a, -1), np.zeros(a)
 
     by_sums = candidate & in_node_binary
-    node, col = by_sums.nonzero()
+    by_sort = candidate & ~in_node_binary
     Wt = W * _per_node(t, block)
-    if integer_targets:
-        # every sum is an exact integer, whatever the order it is taken in
-        T = Wt.sum(axis=1, keepdims=True)
-        TR = _column_sums(Wt, X, block)
-    else:
-        # float sums depend on their order: each node sums its own rows and
-        # candidate columns, so no tree's sums depend on the nodes beside it
-        row_node, rows = W.nonzero()
-        wts = Wt[row_node, rows]
-        sums, parts = [], []
-        for b, r, c in zip(block.tolist(), node_slices(row_node, a), node_slices(node, a)):
-            wt, cs = wts[r], col[c]
-            sums.append(wt.sum())
-            # the gathered block's memory layout picks BLAS's summation order
-            parts.append(wt @ X[b][rows[r]][:, cs])
-        T = np.array(sums)[:, None]
-        TR = np.zeros_like(nR)
-        TR[node, col] = np.concatenate(parts)
-    # gains of the 0/1 candidates only: a forest node draws a few of its columns
-    gains = np.full(nR.shape, -np.inf)
-    nn, tt = n[node, 0], T[node, 0]
-    gains[node, col] = gain_fn(nn, tt, nn - nR[node, col], tt - TR[node, col])
-    thresholds = np.full(nR.shape, 0.5)
-    for j, column in blocks.sorted_cols.items():
-        sel = (candidate[:, j] & ~in_node_binary[:, j]).nonzero()[0]
-        if len(sel):
-            gains[sel, j], thresholds[sel, j] = _sorted_split(
-                [c[block[sel]] for c in column], W[sel], Wt[sel], n[sel], T[sel],
-                gain_fn,
-            )
 
+    def score(u, T, TR):
+        # gains (-inf for a non-candidate) and thresholds of nodes u, and each
+        # sorted candidate's best other boundary; gains of the 0/1 candidates
+        # only, as a forest node draws a few of its columns
+        gains = np.full(by_sums[u].shape, -np.inf)
+        node, col = by_sums[u].nonzero()
+        nn, tt = n[u][node, 0], T[node, 0]
+        gains[node, col] = gain_fn(nn, tt, nn - nR[u][node, col], tt - TR[node, col])
+        seconds = np.full(gains.shape, -np.inf)
+        thresholds = np.full(gains.shape, 0.5)
+        for j, column in blocks.sorted_cols.items():
+            sel = by_sort[u][:, j].nonzero()[0]
+            if len(sel):
+                gains[sel, j], seconds[sel, j], thresholds[sel, j] = _sorted_split(
+                    [c[block[u][sel]] for c in column], W[u][sel], Wt[u][sel], n[u][sel],
+                    T[sel], gain_fn,
+                )
+        return gains, seconds, thresholds
+
+    # every sum is an exact integer for integer targets, whatever its order
+    gains, seconds, thresholds = score(slice(None), Wt.sum(axis=1, keepdims=True),
+                                       _column_sums(Wt, Xb))
     best = gains.argmax(axis=1)  # first max: lowest feature index wins ties
-    return np.where(gains.max(axis=1) > GAIN_EPS, best, -1), thresholds[np.arange(a), best]
+    if not integer_targets:
+        # float sums depend on their order; a node whose split they cannot
+        # decide sums its own rows and candidate columns, so no tree's splits
+        # depend on the nodes beside it
+        u = _unsure(gains, seconds, best, W, Wt).nonzero()[0]
+        if len(u):
+            gains[u], _, thresholds[u] = score(u, *_node_sums(X, W[u], Wt[u], block[u],
+                                                              by_sums[u]))
+            best[u] = gains[u].argmax(axis=1)
+    r = np.arange(a)
+    return np.where(gains[r, best] > GAIN_EPS, best, -1), thresholds[r, best]
+
+
+def _unsure(gains, seconds, best, W, Wt):
+    """The nodes whose split the batched sums may not decide as the node's own sums do.
+
+    Both ways sum the same terms ``Wt``, in different orders. With m the node's
+    rows, S = sum |Wt| and u = eps / 2, a sum of up to m terms in any order is
+    within m·u·S of its exact value to first order, and so are T, TR and a
+    sorted prefix.
+    ``sse_gain`` then forms TL = T - TR, TR' = T - TL (each within (2m+1)·u·S,
+    and |TL| + |TR| <= S) and TL²/nL + TR'²/nR - T²/n with nL, nR, n integers
+    >= 1, so every term and partial sum is at most S². Squaring, dividing and
+    the two additions put the gain within (6m+8)·u·S² = (3m+4)·eps·S² of the
+    exact gain, to first order; B = (4m+6)·eps·S² also covers the higher-order
+    terms, of order (m·u·S)², for any m below 2**40. The two gains of a candidate then differ by at
+    most 2B, so the batched sums decide a node whose best gain beats every
+    other candidate's, the other boundaries of its own column included, by
+    more than twice that, and which is that far from GAIN_EPS.
+    """
+    r = np.arange(len(gains))
+    top = gains[r, best]
+    others = gains.copy()
+    others[r, best] = seconds[r, best]
+    m = np.count_nonzero(W, axis=1)
+    S = np.abs(Wt).sum(axis=1)
+    margin = 4 * (4 * m + 6) * np.finfo(float).eps * S * S
+    return (top - others.max(axis=1) <= margin) | (np.abs(top - GAIN_EPS) <= margin)
+
+
+def _node_sums(X, W, Wt, block, by_sums):
+    """Each node's target sum and right-side sums of its 0/1 candidates, taken
+    over the node's own rows in row order: ``np.add.reduce``, and a BLAS
+    product with the gathered block."""
+    a = len(W)
+    row_node, rows = W.nonzero()
+    wts = Wt[row_node, rows]
+    node, col = by_sums.nonzero()
+    sums, parts = [], []
+    for b, r, c in zip(block.tolist(), node_slices(row_node, a), node_slices(node, a)):
+        wt, cs = wts[r], col[c]
+        sums.append(wt.sum())
+        # the gathered block's memory layout picks BLAS's summation order
+        parts.append(wt @ X[b][rows[r]][:, cs])
+    TR = np.zeros(by_sums.shape)
+    TR[node, col] = np.concatenate(parts)
+    return np.array(sums)[:, None], TR

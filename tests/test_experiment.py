@@ -126,8 +126,9 @@ def test_grid_fits_each_shared_fold_model_once(tiny_dataset, monkeypatch):
     k = 5
     fits, cells = _count_fold_fits(monkeypatch)
     run_grid(tiny_dataset, ExperimentConfig(models=FAST_MODELS, k=k, jobs=1))
-    assert sum(fits) == 8 * k * len(FAST_MODELS)  # 160, not 10 * k * M = 200
-    assert len(cells) == 8 * len(FAST_MODELS)
+    # arg-str shares arg-str-p's cells: 140, not 10 * k * M = 200
+    assert sum(fits) == 7 * k * len(FAST_MODELS)
+    assert len(cells) == 7 * len(FAST_MODELS)
 
 
 def test_inner_cv_adds_k_squared_fits_per_two_stage_cell(tiny_dataset, monkeypatch):
@@ -138,7 +139,7 @@ def test_inner_cv_adds_k_squared_fits_per_two_stage_cell(tiny_dataset, monkeypat
     plain = sum(fits)
     fits.clear()
     run_grid(tiny_dataset, replace(cfg, inner_cv=True))
-    assert plain == 8 * k * len(specs)
+    assert plain == 7 * k * len(specs)
     assert sum(fits) - plain == 2 * len(specs) * k * k
 
 
@@ -196,12 +197,39 @@ def test_shared_fits_match_standalone_cells(
             assert shared.scores.tobytes() == own.scores.tobytes()
 
 
+@pytest.mark.parametrize("inner_cv", [False, True])
+def test_shared_cells_match_standalone_cells(tiny_dataset, monkeypatch, inner_cv):
+    # arg-str is arg-str-p plus the conclusion bit, which every message sets:
+    # its cells copy arg-str-p's, and each must carry the fold metrics it
+    # gets when it runs alone
+    cfg = ExperimentConfig(models=FAST_MODELS, k=3, seed=4, inner_cv=inner_cv, jobs=1)
+    _, cells = _count_fold_fits(monkeypatch)
+    report = run_grid(tiny_dataset, cfg)
+    monkeypatch.undo()
+    assert "arg-str" not in cells
+    folds = stratified_kfold(tiny_dataset.labels(), 3, seed=4)
+    shared = [row for row in report.rows if row.encoding == "arg-str"]
+    assert len(shared) == len(FAST_MODELS)
+    for row, spec in zip(shared, FAST_MODELS):
+        enc = EncodingSpec("arg-str", tiny_dataset.premise_capacity)
+        alone = run_cell(tiny_dataset, enc, spec, folds, inner_cv=inner_cv, seed=4)
+        assert row.model == spec.family
+        assert list(row.fold_metrics) == alone
+
+
 def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset):
     cfg = ExperimentConfig(models=FAST_MODELS, k=3)
     cells = experiment._ordered_cells(cfg)
-    tasks = experiment._tasks(cells, tiny_dataset.premise_capacity)
-    assert len(tasks) == 24
-    assert sorted(i for task in tasks for i in task) == list(range(32))
+    capacity = tiny_dataset.premise_capacity
+    shared = experiment._shared_families(
+        design_matrices(tiny_dataset, cfg.encodings), cfg.encodings, capacity
+    )
+    assert {f: s for f, s in shared.items() if f != s} == {"arg-str": "arg-str-p"}
+    tasks = experiment._tasks(cells, capacity, shared)
+    assert len(tasks) == 20
+    assert sorted(i for task in tasks for i in task) == [
+        i for i, (family, _) in enumerate(cells) if family != "arg-str"
+    ]
     pairs = [[cells[i] for i in task] for task in tasks[:8]]
     for pair in pairs:
         (premise, spec), (two_stage, other) = pair
@@ -237,8 +265,6 @@ def test_shared_stage1_models_are_released_at_last_use(tiny_dataset, monkeypatch
         ("arg-str-c-given-p", [], 0, True),
         ("arg-str-p", ["arg-str-p"], k, None),
         ("arg-str-c-given-p", [], 0, True),
-        ("arg-str", [], 0, None),
-        ("arg-str", [], 0, None),
     ]
 
 
@@ -296,7 +322,8 @@ def test_default_jobs_count_only_the_cpus_the_process_may_run_on(tiny_dataset, m
     def no_pool(*args, **kwargs):
         pytest.fail("a process pool started for a process that may run on one CPU")
 
-    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-p"), models=(ModelSpec("lgr"),), k=2,
+    # two tasks, which a process that may run on two CPUs would send to a pool
+    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-hs"), models=(ModelSpec("lgr"),), k=2,
                            jobs=1)
     serial = run_grid(tiny_dataset, cfg)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -311,13 +338,23 @@ def test_cell_error_in_pool_propagates_unchanged(tiny_dataset, monkeypatch, caps
     def single_class(spec, problems):
         raise SingleClassError("training labels contain a single class")
 
-    monkeypatch.setattr(_NoPool, "failure", None)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _NoPool)
+    pools = []
+
+    class CountedPool(_NoPool):
+        failure = None
+
+        def __init__(self, **kwargs):
+            pools.append(self)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(experiment, "fit_each", single_class)
-    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-p"), models=(ModelSpec("lgr"),), k=2,
+    # two tasks, so the grid goes to the pool
+    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-hs"), models=(ModelSpec("lgr"),), k=2,
                            jobs=2)
     with pytest.raises(SingleClassError):
         run_grid(tiny_dataset, cfg)
+    assert len(pools) == 1
     assert capsys.readouterr().err == ""
 
 

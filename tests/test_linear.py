@@ -66,6 +66,20 @@ def test_batch_with_a_width_zero_problem(spec):
     assert _bits(models) == _oracle_bits(spec, batch)
 
 
+@pytest.mark.parametrize("family", ["lgr", "svm"])
+def test_batch_of_width_zero_problems_only(family):
+    # every column constant in every problem: the stop test sums no column
+    rng = np.random.default_rng(4)
+    batch = []
+    for n in (9, 12):
+        y = rng.integers(0, 2, n).astype(float)
+        y[:2] = 0.0, 1.0
+        batch.append((np.ones((n, 3)), y))
+    spec = ModelSpec(family, loss="log" if family == "svm" else None, learning_rate=5.0,
+                     max_iter=300)
+    assert _bits(fit_each(spec, batch)) == _oracle_bits(spec, batch)
+
+
 @pytest.fixture(scope="module")
 def corpus_folds():
     n_hateful, n_nonhateful = CORPUS_SIZES

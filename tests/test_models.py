@@ -152,6 +152,27 @@ def test_tree_models_ignore_appended_constant_column(family, seed):
     assert np.array_equal(base_scores, aug_scores)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("value", (0.0, 1.0, 2.0))
+def test_constant_column_inserted_anywhere_changes_no_fit(family, value):
+    # the grid evaluates designs that differ only by constant columns once
+    X, y = _random_binary_problem(3)
+    spec = ModelSpec(family, tree_count=25)
+    base = fit(spec, X, y)
+    for at in range(X.shape[1] + 1):
+        augmented = np.insert(X, at, value, axis=1)
+        model = fit(spec, augmented, y)
+        if family in ("lgr", "svm"):
+            # the fit drops the column, so the weights keep their bits; a
+            # score's X @ w is blocked by its width, so its last bits may move
+            assert model.weights[at] == 0.0
+            assert np.delete(model.weights, at).tobytes() == base.weights.tobytes()
+            assert np.float64(model.bias).tobytes() == np.float64(base.bias).tobytes()
+            assert np.array_equal(model.predict(augmented), base.predict(X))
+        else:
+            assert model.predict_score(augmented).tobytes() == base.predict_score(X).tobytes()
+
+
 @pytest.mark.parametrize("family", ("rforest", "gbt"))
 @pytest.mark.parametrize("seed", (0, 4))
 def test_binary_fast_path_matches_generic_split_search(family, seed):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linear_oracle
@@ -148,6 +148,19 @@ def test_forest_matches_recursive_builder(problem, criterion, depth, seed):
     _assert_matches_oracle(spec, X, y, tree_oracle.forest_dict(spec, X, y))
 
 
+# In the first round, the root's two best candidates are boundaries of column
+# 0 with equal gains, far above column 1's; a runner-up taken from the column
+# maxima alone would let the batched sums pick the threshold.
+_SORTED_NEAR_TIE = (
+    np.array([[0.0, 1.0], [0.0, 1.0], [0.25, 0.0], [0.25, 0.0], [0.5, 0.0], [0.5, 1.0],
+              [0.5, 1.0], [0.25, 0.0], [0.25, 0.0], [0.5, 1.0], [0.5, 0.0], [0.25, 0.0],
+              [0.5, 0.0], [0.25, 0.0], [0.0, 1.0], [0.0, 1.0], [0.5, 0.0], [0.25, 0.0],
+              [0.25, 0.0], [0.0, 1.0], [0.0, 1.0], [0.25, 0.0], [0.25, 0.0]]),
+    np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0,
+              1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     problem=problems(),
@@ -155,6 +168,7 @@ def test_forest_matches_recursive_builder(problem, criterion, depth, seed):
     depth=st.integers(1, 4),
     seed=st.integers(0, 2 ** 16),
 )
+@example(problem=_SORTED_NEAR_TIE, subsample=0.6, depth=1, seed=11577)
 def test_gbt_matches_recursive_builder(problem, subsample, depth, seed):
     X, y = problem
     spec = ModelSpec("gbt", tree_count=5, max_depth=depth, subsample=subsample, seed=seed)
@@ -291,6 +305,22 @@ def test_fit_each_matches_recursive_builder_on_corpus_folds(subsample):
     spec = ModelSpec("gbt", tree_count=10, subsample=subsample, seed=5)
     for model, train in zip(fit_each(spec, [(X[t], y[t]) for t in trains]), trains):
         assert model_to_dict(model) == tree_oracle.gbt_dict(spec, X[train], y[train])
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_gbt_exact_ties_follow_recursive_builder(subsample):
+    # each 0/1 column comes with a copy and with its complement, so every
+    # candidate's gain ties exactly with two others; the batched sums cannot
+    # break such a tie, and each node must take its own sums, as the
+    # recursive builder does
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        base = (rng.random((90, 3)) < 0.5).astype(float)
+        X = np.stack([base, 1.0 - base, base], axis=2).reshape(len(base), -1)
+        y = ((base @ rng.normal(size=3) + rng.normal(size=len(base))) > 0).astype(float)
+        y[:2] = 0.0, 1.0
+        spec = ModelSpec("gbt", tree_count=10, max_depth=3, subsample=subsample, seed=seed)
+        _assert_matches_oracle(spec, X, y, tree_oracle.gbt_dict(spec, X, y))
 
 
 @pytest.mark.parametrize("subsample", [1.0, 0.6])
