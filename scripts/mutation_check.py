@@ -346,6 +346,13 @@ MUTATIONS = (
         "if np.array_equal(matrices[first], X)",
         ("tests/test_experiment.py::test_grid_fits_each_shared_fold_model_once",),
     ),
+    Mutation(  # a linear score's last bits follow the width, and a score at 0.5 flips
+        "grid-shares-linear-cells",
+        "src/argstruct/experiment.py",
+        'WIDTH_BLIND = ("rforest", "gbt")',
+        'WIDTH_BLIND = ("lgr", "rforest", "svm", "gbt")',
+        ("tests/test_experiment.py::test_linear_cells_run_on_their_own_design",),
+    ),
     Mutation(  # the inner folds move, and only the pinned bytes show it
         "inner-cv-seed-moved",
         "src/argstruct/experiment.py",

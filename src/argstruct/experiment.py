@@ -17,13 +17,14 @@ fits are never shared, because their rows differ.
 
 Static encodings whose designs agree on every column that is not constant
 over the dataset (``arg-str`` is ``arg-str-p`` plus the conclusion bit, which
-every message sets) are evaluated once per model spec (``_shared_families``),
-and their other cells copy that cell's result. Every family fits such designs
-alike: lgr and svm drop the columns constant over the training rows, the
-trees never split on them and the forest never draws them, and
-``distinct_rows`` orders the rows alike. So the fold models agree, and with
-them each fold's predictions: tree scores bit for bit, and linear scores up to
-the last bits of ``X @ w``, whose BLAS blocking follows the width.
+every message sets) form a group (``_shared_families``). Every family fits
+such designs alike: lgr and svm drop the columns constant over the training
+rows, the trees never split on them and the forest never draws them, and
+``distinct_rows`` orders the rows alike. The tree families' fold scores then
+agree bit for bit, so a group's rforest and gbt cells are evaluated once and
+the others copy that cell's result. Linear scores agree only up to the last
+bits of ``X @ w``, whose BLAS blocking follows the width, and a score that
+close to 0.5 could flip a prediction, so every linear cell runs itself.
 """
 
 import json
@@ -50,6 +51,9 @@ from .evaluation import (
 from .models import ModelSpec, fit_each, threshold
 
 MODEL_ORDER = ("lgr", "rforest", "svm", "gbt")
+# the families whose fold scores keep their bits when constant columns join
+# the design, so that equivalent designs may share their cells
+WIDTH_BLIND = ("rforest", "gbt")
 
 
 class UnknownFormatError(Exception):
@@ -242,13 +246,14 @@ def _shared_families(matrices, families, capacity) -> dict[str, str]:
 def _tasks(cells, capacity, shared) -> list[list[int]]:
     """Group cell indices into tasks by (premise-only family, model spec): a
     two-stage cell joins the premise-only cell of its stage-1 family, every
-    other cell runs alone, and a cell whose family ``shared`` maps to another
-    family runs in no task. Multi-cell tasks, the costliest, come first, then
-    the rest by their first cell."""
+    other cell runs alone, and a ``WIDTH_BLIND`` cell whose family ``shared``
+    maps to another family runs in no task. Multi-cell tasks, the costliest,
+    come first, then the rest by their first cell."""
     groups: dict[tuple, list[int]] = {}
     for i, (family, model_spec) in enumerate(cells):
         enc = EncodingSpec(family, capacity)
-        if enc.two_stage or shared[family] == family:
+        if (enc.two_stage or shared[family] == family
+                or model_spec.family not in WIDTH_BLIND):
             key = stage_one_spec(enc).family if enc.two_stage else family
             groups.setdefault((key, model_spec), []).append(i)
     return sorted(groups.values(), key=lambda members: (len(members) == 1, members[0]))
@@ -308,9 +313,9 @@ def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
 
     Each two-stage cell runs as one task with the premise-only cell of its
     stage-1 family and model spec, and reuses that cell's fold models as its
-    stage 1 (``_tasks``); a static cell whose design equals another's on its
-    varying columns copies that cell's result (``_shared_families``); every
-    other cell is a task of its own. Tasks are independent pure computations;
+    stage 1 (``_tasks``); a static tree cell whose design equals another's on
+    its varying columns copies that cell's result (``_shared_families``);
+    every other cell is a task of its own. Tasks are independent pure computations;
     with jobs > 1 they run in worker processes (serially if the pool cannot
     start), and results are identical for every jobs value.
     """

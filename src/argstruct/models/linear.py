@@ -126,10 +126,7 @@ def fit_linear(spec, problems) -> list[LinearModel]:
                     break
                 lanes = [lane for lane in lanes if not stop[lane[0]]]
                 stepping = ~np.concatenate([stop[col_owner], stop])
-        if frozen:
-            np.subtract(theta, lr * grad, out=theta, where=stepping)
-        else:
-            theta -= lr * grad
+        np.subtract(theta, lr * grad, out=theta, where=stepping)
     models = []
     for const, wi, bi in zip(consts, np.split(w, col_cuts), b):
         weights = np.zeros(len(const))

@@ -23,6 +23,7 @@ from argstruct.experiment import (
     run_grid,
 )
 from argstruct.models import ModelSpec, SingleClassError, fit, fit_each, threshold
+from argstruct.models.linear import LinearModel
 from argstruct.models.persist import model_to_dict
 from argstruct.synth import GeneratorConfig, generate
 from messages import make_message
@@ -126,9 +127,9 @@ def test_grid_fits_each_shared_fold_model_once(tiny_dataset, monkeypatch):
     k = 5
     fits, cells = _count_fold_fits(monkeypatch)
     run_grid(tiny_dataset, ExperimentConfig(models=FAST_MODELS, k=k, jobs=1))
-    # arg-str shares arg-str-p's cells: 140, not 10 * k * M = 200
-    assert sum(fits) == 7 * k * len(FAST_MODELS)
-    assert len(cells) == 7 * len(FAST_MODELS)
+    # arg-str's rforest and gbt cells copy arg-str-p's: 150, not 10 * k * M = 200
+    assert sum(fits) == (8 * len(FAST_MODELS) - 2) * k
+    assert len(cells) == 8 * len(FAST_MODELS) - 2
 
 
 def test_inner_cv_adds_k_squared_fits_per_two_stage_cell(tiny_dataset, monkeypatch):
@@ -139,7 +140,7 @@ def test_inner_cv_adds_k_squared_fits_per_two_stage_cell(tiny_dataset, monkeypat
     plain = sum(fits)
     fits.clear()
     run_grid(tiny_dataset, replace(cfg, inner_cv=True))
-    assert plain == 7 * k * len(specs)
+    assert plain == (8 * len(specs) - 1) * k  # arg-str's gbt cell copies arg-str-p's
     assert sum(fits) - plain == 2 * len(specs) * k * k
 
 
@@ -200,13 +201,13 @@ def test_shared_fits_match_standalone_cells(
 @pytest.mark.parametrize("inner_cv", [False, True])
 def test_shared_cells_match_standalone_cells(tiny_dataset, monkeypatch, inner_cv):
     # arg-str is arg-str-p plus the conclusion bit, which every message sets:
-    # its cells copy arg-str-p's, and each must carry the fold metrics it
-    # gets when it runs alone
+    # its tree cells copy arg-str-p's, its linear cells run, and each must
+    # carry the fold metrics it gets when it runs alone
     cfg = ExperimentConfig(models=FAST_MODELS, k=3, seed=4, inner_cv=inner_cv, jobs=1)
     _, cells = _count_fold_fits(monkeypatch)
     report = run_grid(tiny_dataset, cfg)
     monkeypatch.undo()
-    assert "arg-str" not in cells
+    assert cells.count("arg-str") == 2
     folds = stratified_kfold(tiny_dataset.labels(), 3, seed=4)
     shared = [row for row in report.rows if row.encoding == "arg-str"]
     assert len(shared) == len(FAST_MODELS)
@@ -215,6 +216,27 @@ def test_shared_cells_match_standalone_cells(tiny_dataset, monkeypatch, inner_cv
         alone = run_cell(tiny_dataset, enc, spec, folds, inner_cv=inner_cv, seed=4)
         assert row.model == spec.family
         assert list(row.fold_metrics) == alone
+
+
+def test_linear_cells_run_on_their_own_design(tiny_dataset, monkeypatch):
+    # a linear score's last bits follow the design's width, as BLAS blocks
+    # X @ w by it, and a score that close to 0.5 flips its prediction: with
+    # scores on either side of 0.5 by width, a linear arg-str cell that copied
+    # arg-str-p's would report arg-str-p's metrics
+    def by_width(self, X):
+        return np.full(len(X), 0.5 if X.shape[1] % 2 else np.nextafter(0.5, 0.0))
+
+    monkeypatch.setattr(LinearModel, "scores", by_width)
+    cfg = ExperimentConfig(encodings=("arg-str", "arg-str-p"),
+                           models=(ModelSpec("lgr"), ModelSpec("svm")), k=3, jobs=1)
+    report = run_grid(tiny_dataset, cfg)
+    folds = stratified_kfold(tiny_dataset.labels(), 3, seed=0)
+    rows = {(row.encoding, row.model): list(row.fold_metrics) for row in report.rows}
+    for spec in cfg.models:
+        for family in cfg.encodings:
+            enc = EncodingSpec(family, tiny_dataset.premise_capacity)
+            assert rows[family, spec.family] == run_cell(tiny_dataset, enc, spec, folds)
+        assert rows["arg-str", spec.family] != rows["arg-str-p", spec.family]
 
 
 def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset):
@@ -226,9 +248,10 @@ def test_grid_tasks_pair_each_two_stage_cell_with_its_premise_cell(tiny_dataset)
     )
     assert {f: s for f, s in shared.items() if f != s} == {"arg-str": "arg-str-p"}
     tasks = experiment._tasks(cells, capacity, shared)
-    assert len(tasks) == 20
+    assert len(tasks) == 22
     assert sorted(i for task in tasks for i in task) == [
-        i for i, (family, _) in enumerate(cells) if family != "arg-str"
+        i for i, (family, spec) in enumerate(cells)
+        if family != "arg-str" or spec.family in ("lgr", "svm")
     ]
     pairs = [[cells[i] for i in task] for task in tasks[:8]]
     for pair in pairs:
@@ -265,6 +288,7 @@ def test_shared_stage1_models_are_released_at_last_use(tiny_dataset, monkeypatch
         ("arg-str-c-given-p", [], 0, True),
         ("arg-str-p", ["arg-str-p"], k, None),
         ("arg-str-c-given-p", [], 0, True),
+        ("arg-str", [], 0, None),
     ]
 
 
