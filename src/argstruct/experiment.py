@@ -222,11 +222,11 @@ def _ordered_cells(cfg: ExperimentConfig):
 
 
 def _shared_families(matrices, families, capacity) -> dict[str, str]:
-    """Each static family of ``families`` mapped to the family whose cells it
-    shares: families whose designs agree on every column that is not constant
-    over the dataset form a group, whose first family in grid order stands for
-    it, or its stage-1 provider if it holds one, as that cell's fold models
-    feed a two-stage cell."""
+    """Each static family of ``families`` mapped to the family whose
+    ``WIDTH_BLIND`` cells it shares: families whose designs agree on every
+    column that is not constant over the dataset form a group, whose first
+    family in grid order stands for it, or its stage-1 provider if it holds
+    one, as that cell's fold models feed a two-stage cell."""
     specs = [EncodingSpec(family, capacity) for family in set(families)]
     providers = {stage_one_spec(spec).family for spec in specs if spec.two_stage}
     static = [spec.family for spec in specs if not spec.two_stage]
