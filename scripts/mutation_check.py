@@ -176,6 +176,13 @@ MUTATIONS = (
         "np.subtract(theta, lr * grad, out=theta)",
         ("tests/test_linear.py::test_corpus_folds_freeze_at_their_own_iteration",),
     ),
+    Mutation(  # BLAS blocks X @ w by the width, so a constant column moves last bits
+        "linear-scores-full-width",
+        _LINEAR,
+        "        return sigmoid(z)",
+        "        return sigmoid(X @ self.weights + self.bias)",
+        ("tests/test_models.py::test_constant_column_inserted_anywhere_changes_no_fit",),
+    ),
     Mutation(
         "gbt-roots-contiguous",
         "src/argstruct/models/boosting.py",
@@ -345,13 +352,6 @@ MUTATIONS = (
         "if np.array_equal(matrices[first][:, columns], X[:, varying])",
         "if np.array_equal(matrices[first], X)",
         ("tests/test_experiment.py::test_grid_fits_each_shared_fold_model_once",),
-    ),
-    Mutation(  # a linear score's last bits follow the width, and a score at 0.5 flips
-        "grid-shares-linear-cells",
-        "src/argstruct/experiment.py",
-        'WIDTH_BLIND = ("rforest", "gbt")',
-        'WIDTH_BLIND = ("lgr", "rforest", "svm", "gbt")',
-        ("tests/test_experiment.py::test_linear_cells_run_on_their_own_design",),
     ),
     Mutation(  # the inner folds move, and only the pinned bytes show it
         "inner-cv-seed-moved",

@@ -18,13 +18,11 @@ fits are never shared, because their rows differ.
 Static encodings whose designs agree on every column that is not constant
 over the dataset (``arg-str`` is ``arg-str-p`` plus the conclusion bit, which
 every message sets) form a group (``_shared_families``). Every family fits
-such designs alike: lgr and svm drop the columns constant over the training
-rows, the trees never split on them and the forest never draws them, and
-``distinct_rows`` orders the rows alike. The tree families' fold scores then
-agree bit for bit, so a group's rforest and gbt cells are evaluated once and
-the others copy that cell's result. Linear scores agree only up to the last
-bits of ``X @ w``, whose BLAS blocking follows the width, and a score that
-close to 0.5 could flip a prediction, so every linear cell runs itself.
+such designs alike: lgr and svm give the columns constant over the training
+rows weight 0 and score only the others, the trees never split on them and
+the forest never draws them, and ``distinct_rows`` orders the rows alike.
+The fold scores then agree bit for bit, so each model spec evaluates a
+group's cell once and the others copy that cell's result.
 """
 
 import json
@@ -51,9 +49,6 @@ from .evaluation import (
 from .models import ModelSpec, fit_each, threshold
 
 MODEL_ORDER = ("lgr", "rforest", "svm", "gbt")
-# the families whose fold scores keep their bits when constant columns join
-# the design, so that equivalent designs may share their cells
-WIDTH_BLIND = ("rforest", "gbt")
 
 
 class UnknownFormatError(Exception):
@@ -222,11 +217,11 @@ def _ordered_cells(cfg: ExperimentConfig):
 
 
 def _shared_families(matrices, families, capacity) -> dict[str, str]:
-    """Each static family of ``families`` mapped to the family whose
-    ``WIDTH_BLIND`` cells it shares: families whose designs agree on every
-    column that is not constant over the dataset form a group, whose first
-    family in grid order stands for it, or its stage-1 provider if it holds
-    one, as that cell's fold models feed a two-stage cell."""
+    """Each static family of ``families`` mapped to the family whose cells it
+    shares, for every model spec: families whose designs agree on every column
+    that is not constant over the dataset form a group, whose first family in
+    grid order stands for it, or its stage-1 provider if it holds one, as that
+    cell's fold models feed a two-stage cell."""
     specs = [EncodingSpec(family, capacity) for family in set(families)]
     providers = {stage_one_spec(spec).family for spec in specs if spec.two_stage}
     static = [spec.family for spec in specs if not spec.two_stage]
@@ -246,14 +241,13 @@ def _shared_families(matrices, families, capacity) -> dict[str, str]:
 def _tasks(cells, capacity, shared) -> list[list[int]]:
     """Group cell indices into tasks by (premise-only family, model spec): a
     two-stage cell joins the premise-only cell of its stage-1 family, every
-    other cell runs alone, and a ``WIDTH_BLIND`` cell whose family ``shared``
-    maps to another family runs in no task. Multi-cell tasks, the costliest,
-    come first, then the rest by their first cell."""
+    other cell runs alone, and a cell whose family ``shared`` maps to another
+    family runs in no task. Multi-cell tasks, the costliest, come first, then
+    the rest by their first cell."""
     groups: dict[tuple, list[int]] = {}
     for i, (family, model_spec) in enumerate(cells):
         enc = EncodingSpec(family, capacity)
-        if (enc.two_stage or shared[family] == family
-                or model_spec.family not in WIDTH_BLIND):
+        if enc.two_stage or shared[family] == family:
             key = stage_one_spec(enc).family if enc.two_stage else family
             groups.setdefault((key, model_spec), []).append(i)
     return sorted(groups.values(), key=lambda members: (len(members) == 1, members[0]))
@@ -313,9 +307,9 @@ def run_grid(dataset: Dataset, cfg: ExperimentConfig) -> ExperimentReport:
 
     Each two-stage cell runs as one task with the premise-only cell of its
     stage-1 family and model spec, and reuses that cell's fold models as its
-    stage 1 (``_tasks``); a static tree cell whose design equals another's on
-    its varying columns copies that cell's result (``_shared_families``);
-    every other cell is a task of its own. Tasks are independent pure computations;
+    stage 1 (``_tasks``); a static cell whose design equals another's on its
+    varying columns copies that cell's result (``_shared_families``); every
+    other cell is a task of its own. Tasks are independent pure computations;
     with jobs > 1 they run in worker processes (serially if the pool cannot
     start), and results are identical for every jobs value.
     """

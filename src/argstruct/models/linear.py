@@ -3,7 +3,9 @@
 Columns that are constant over the training set are absorbed into the bias:
 they keep weight 0 and the intercept carries their effect. This makes designs
 that differ only by constant columns train to identical score functions, and
-it keeps L2 regularization off the intercept direction entirely.
+it keeps L2 regularization off the intercept direction entirely. A score adds
+the nonzero-weight columns one at a time, with no BLAS product (whose blocking
+follows the width), so those designs also score every row with the same bits.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,10 @@ class LinearModel(Classifier):
         return len(self.weights)
 
     def scores(self, X):
-        return sigmoid(X @ self.weights + self.bias)
+        z = np.full(len(X), self.bias)
+        for j in np.flatnonzero(self.weights).tolist():
+            z += X[:, j] * self.weights[j]
+        return sigmoid(z)
 
 
 def _constant_columns(X):

@@ -5,6 +5,10 @@ per-problem descent loop, verbatim. ``fit`` fits one problem with them the
 way the lgr and svm models did, so a test can compare ``model_to_dict`` of
 its model with that of a model the library fitted in a batch.
 
+``scores`` is the reference for ``LinearModel.scores``: the two-branch
+sigmoid of the bias plus each nonzero-weight column's term, added in column
+order, so a column the fit gave weight 0 changes no bit of a score.
+
 ``dedup_rows`` is the original ``np.unique``-based row collapse, verbatim,
 so the oracles (this one and ``tree_oracle``) do not share the library's
 row order and a change to it shows as a difference.
@@ -36,6 +40,18 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def margins(model, rows):
+    z = np.full(len(rows), model.bias)
+    for j, weight in enumerate(model.weights):
+        if weight != 0.0:
+            z = z + rows[:, j] * weight
+    return z
+
+
+def scores(model, rows):
+    return sigmoid(margins(model, rows))
 
 
 def _constant_columns(X):

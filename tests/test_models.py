@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linear_oracle
 from argstruct.models import (
     DimensionMismatchError,
     EmptyTrainingSetError,
@@ -155,22 +156,44 @@ def test_tree_models_ignore_appended_constant_column(family, seed):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("value", (0.0, 1.0, 2.0))
 def test_constant_column_inserted_anywhere_changes_no_fit(family, value):
-    # the grid evaluates designs that differ only by constant columns once
-    X, y = _random_binary_problem(3)
+    # the grid evaluates designs that differ only by constant columns once;
+    # at == d appends the column
     spec = ModelSpec(family, tree_count=25)
-    base = fit(spec, X, y)
-    for at in range(X.shape[1] + 1):
-        augmented = np.insert(X, at, value, axis=1)
-        model = fit(spec, augmented, y)
-        if family in ("lgr", "svm"):
-            # the fit drops the column, so the weights keep their bits; a
-            # score's X @ w is blocked by its width, so its last bits may move
-            assert model.weights[at] == 0.0
-            assert np.delete(model.weights, at).tobytes() == base.weights.tobytes()
-            assert np.float64(model.bias).tobytes() == np.float64(base.bias).tobytes()
-            assert np.array_equal(model.predict(augmented), base.predict(X))
-        else:
+    for seed in (3, 5):
+        X, y = _random_binary_problem(seed)
+        base = fit(spec, X, y)
+        for at in range(X.shape[1] + 1):
+            augmented = np.insert(X, at, value, axis=1)
+            model = fit(spec, augmented, y)
+            if family in ("lgr", "svm"):
+                # the fit drops the column, so the weights keep their bits
+                assert model.weights[at] == 0.0
+                assert np.delete(model.weights, at).tobytes() == base.weights.tobytes()
+                assert np.float64(model.bias).tobytes() == np.float64(base.bias).tobytes()
             assert model.predict_score(augmented).tobytes() == base.predict_score(X).tobytes()
+
+
+@pytest.mark.parametrize("family", ("lgr", "svm"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_linear_score_reads_only_nonzero_weight_columns(family, bad):
+    # a non-finite value in a column of weight 0 leaves the score's bits;
+    # in a column of nonzero weight it gives NaN, 0 or 1, as X @ w + b does
+    X, y = _random_binary_problem(5)
+    X = np.insert(X, 2, 1.0, axis=1)
+    model = fit(ModelSpec(family), X, y)
+    clean = model.predict_score(X)
+    dirty = X.copy()
+    dirty[0, 2] = bad
+    assert model.predict_score(dirty).tobytes() == clean.tobytes()
+    j = int(np.flatnonzero(model.weights)[0])
+    dirty = X.copy()
+    dirty[0, j] = bad
+    scores = model.predict_score(dirty)
+    assert scores[1:].tobytes() == clean[1:].tobytes()
+    if np.isnan(bad):
+        assert np.isnan(scores[0])
+    else:
+        assert scores[0] == float(bad * model.weights[j] > 0)
 
 
 @pytest.mark.parametrize("family", ("rforest", "gbt"))
@@ -201,7 +224,7 @@ def test_linear_models_absorb_constant_columns(family):
 def test_lgr_score_monotone_in_margin():
     X, y = _random_binary_problem(7)
     model = fit(ModelSpec("lgr"), X, y)
-    margins = X @ model.weights + model.bias
+    margins = linear_oracle.margins(model, X)
     scores = model.predict_score(X)
     order = np.argsort(margins)
     assert np.all(np.diff(scores[order]) >= 0)

@@ -5,9 +5,8 @@ the paper's 8 x 4 x 5 grid with seed 501, once serially in the default mode
 and at default jobs with ``--inner-cv``, ``--hard-stage1`` and both. The
 digests pin each run's markdown, csv and json reports, and every fold fit of
 the default run through ``model_to_dict``, one digest per family over its fits
-in grid order. The ``arg-str`` tree cells share the ``arg-str-p`` cells' fits,
-so rforest and gbt make 35 fits; their digests are those of the 40 fits each
-made when every cell fitted its own, less the ``arg-str`` cell's five.
+in grid order. The ``arg-str`` cells share the ``arg-str-p`` cells' fits, so
+every family makes 35 fits, not 40, each equal to the fit its cell makes alone.
 
 Float sums go through BLAS, so another numpy or BLAS build may move a digest
 with no change to the code. The failure names each digest that moved, and
@@ -54,12 +53,12 @@ PINNED = {
         "f5515ea6e9f668d91f42729d797a87657aa267bee8af48ca729b2754f15370bf",
     "default/models/gbt (35 fits)":
         "e77f24268a877559c77df82298b1e4e507915f52d584dceafe20be142cc4ac0c",
-    "default/models/lgr (40 fits)":
-        "c5b4dcbf2afd76fc9fd6706d68649907e09af9bb8f7640a1ed7afa17e63039b4",
+    "default/models/lgr (35 fits)":
+        "648fdc133ac528474d5dfa7f7ea1ea3b9026f23e21b0079377b0180c9fcfdb29",
     "default/models/rforest (35 fits)":
         "d1d630ed077e12dc652b8b6d188cd9c51e39272b8df1359bce78256cac979f3e",
-    "default/models/svm (40 fits)":
-        "19928344527305c21c8437db469b9da40068e28f867bbd7b41c8f1a29344d729",
+    "default/models/svm (35 fits)":
+        "165c48ef172b3f169772fb4c31f3d5bd9bd74ff9f6cb7da1fdc8e5bb58c63529",
 }
 
 

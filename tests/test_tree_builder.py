@@ -227,6 +227,14 @@ def _spec(family, depth, subsample, seed, linear=(None, None, None)):
     return ModelSpec(family, tree_count=5, max_depth=depth, subsample=subsample, seed=seed)
 
 
+# two problems whose trees split alike with opposite leaves, so a model built
+# from another problem's trees cannot pass for its own
+_OPPOSITE_PROBLEMS = [
+    (np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([0.0, 1.0, 0.0, 1.0])),
+    (np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([1.0, 0.0, 1.0, 0.0])),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     batch=batches(),
@@ -240,6 +248,8 @@ def _spec(family, depth, subsample, seed, linear=(None, None, None)):
         st.sampled_from([None, "log"]),
     ),
 )
+@example(batch=_OPPOSITE_PROBLEMS, family="gbt", depth=1, subsample=1.0, seed=0,
+         linear=(None, None, None))
 def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed, linear):
     spec = _spec(family, depth, subsample, seed, linear)
     rows = np.vstack([X for X, _ in batch] + [1.0 - X for X, _ in batch])
@@ -258,7 +268,7 @@ def test_fit_each_matches_fit_per_problem(batch, family, depth, subsample, seed,
             assert model_to_dict(model) == model_to_dict(oracle)
             assert model.weights.tobytes() == oracle.weights.tobytes()
             assert np.float64(model.bias).tobytes() == np.float64(oracle.bias).tobytes()
-            expected = linear_oracle.sigmoid(rows @ oracle.weights + oracle.bias)
+            expected = linear_oracle.scores(oracle, rows)
             assert model.predict_score(rows).tobytes() == expected.tobytes()
 
 
