@@ -54,6 +54,16 @@ class FoldAssignment:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def binary_labels(labels) -> np.ndarray:
+    """``labels`` as an array, every one 0 or 1 (NonBinaryLabelError names the
+    first that is not)."""
+    y = np.asarray(labels)
+    outside = ~np.isin(y, (0, 1))
+    if outside.any():
+        raise NonBinaryLabelError(f"label {y[outside][0].item()!r} is not 0 or 1")
+    return y
+
+
 def stratified_kfold(labels, k: int, seed: int = 0) -> FoldAssignment:
     """Deal each class's examples round-robin into k folds after a seeded shuffle.
 
@@ -62,12 +72,10 @@ def stratified_kfold(labels, k: int, seed: int = 0) -> FoldAssignment:
     proportionality. Deterministic per seed. Every label must be 0 or 1
     (NonBinaryLabelError names the first that is not).
     """
-    y = np.asarray(labels)
     if k < 2:
         raise KTooSmallError(f"k must be >= 2, got {k}")
-    outside = ~np.isin(y, (0, 1))
-    if outside.any():  # it would be in no test fold and in every training split
-        raise NonBinaryLabelError(f"label {y[outside][0].item()!r} is not 0 or 1")
+    # a label outside 0/1 would be in no test fold and in every training split
+    y = binary_labels(labels)
     rng = np.random.default_rng(seed)
     assignment = np.full(len(y), -1, dtype=int)
     cursor = 0
@@ -103,8 +111,8 @@ class ConfusionMatrix:
 
 
 def confusion(pred, gold) -> ConfusionMatrix:
-    p = np.asarray(pred).astype(int)
-    g = np.asarray(gold).astype(int)
+    """Counts of the (pred, gold) pairs; every label must be 0 or 1."""
+    p, g = binary_labels(pred), binary_labels(gold)
     if p.shape != g.shape:
         raise LengthMismatchError(f"pred has shape {p.shape}, gold has shape {g.shape}")
     if p.size == 0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import DataError
+from ..evaluation import binary_labels
 from .tree import distinct_rows
 
 MODEL_FAMILIES = ("lgr", "svm", "rforest", "gbt")
@@ -155,6 +156,7 @@ def _check_training_data(X, y):
         )
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteInputError("training data holds a NaN or infinite value")
+    binary_labels(y)
     if len(X) < 2:
         raise EmptyTrainingSetError(f"need at least 2 training rows, got {len(X)}")
     if len(np.unique(y)) < 2:

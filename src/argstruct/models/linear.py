@@ -58,10 +58,10 @@ def fit_linear(spec, problems) -> list[LinearModel]:
     Each problem keeps its own unpadded BLAS products and sums (``U @ w``,
     ``Ut @ r``, ``r.sum()``), whose bits depend on summation order; the
     elementwise steps, whose bits do not, run once over all problems' rows
-    and columns. The stop test sums every problem's squared gradient at once
-    and takes a problem's own ``dw @ dw`` only when that sum lies within
-    rounding of GRAD_TOL. A problem that reaches GRAD_TOL freezes while the
-    others go on, so every model is bitwise the one it gets alone.
+    and columns. A problem stops once its squared column gradients, added in
+    column order, plus ``db * db`` fall below GRAD_TOL**2; one ``bincount``
+    over all problems makes exactly that sum. A stopped problem freezes while
+    the others go on, so every model is bitwise the one it gets alone.
     """
     log = spec.family == "lgr" or spec.loss == "log"
     consts, Us, yus, wns = [], [], [], []
@@ -79,7 +79,7 @@ def fit_linear(spec, problems) -> list[LinearModel]:
     col_owner = np.repeat(np.arange(k), n_cols)
     yu, wn = np.concatenate(yus), np.concatenate(wns)
     s = 2.0 * yu - 1.0  # +-1 targets for the hinge
-    ws = wn * s
+    pull = -wn * s  # a row's hinge residual while it is inside the margin
     lr = spec.learning_rate
     reg = spec.regularization
     # theta holds every problem's weights, then every problem's bias, and
@@ -94,9 +94,6 @@ def fit_linear(spec, problems) -> list[LinearModel]:
         np.split(z, row_cuts), np.split(r, row_cuts),
         np.split(w, col_cuts), np.split(g, col_cuts),
     ))
-    dws = np.split(dw, col_cuts)
-    # the band around GRAD_TOL**2 in which a problem's own ddot decides its stop
-    lo, hi = GRAD_TOL**2 * (1 - 1e-9), GRAD_TOL**2 * (1 + 1e-9)
     stop = np.zeros(k, dtype=bool)  # the problems that have stopped, for good
     frozen, stepping = 0, True  # stepping: the entries of theta that still move
     for _ in range(spec.max_iter):
@@ -107,30 +104,21 @@ def fit_linear(spec, problems) -> list[LinearModel]:
             np.subtract(sigmoid(z), yu, out=r)
             r *= wn
         else:
-            np.multiply(ws, s * z < 1.0, out=r)
+            np.multiply(pull, s * z < 1.0, out=r)
         for i, _, Ut, _, ri, _, gi in lanes:
             np.dot(Ut, ri, out=gi)
-            db[i] = np.add.reduce(ri) if log else -np.add.reduce(ri)
-        if log:
-            np.add(g, reg * w, out=dw)
-        else:  # reg * w - g is -(Ut @ r) + reg * w, bit for bit
-            np.subtract(reg * w, g, out=dw)
-        # each problem's squared gradient norm, summed in another order than
-        # its own ddot: the two differ by a relative (width + 1) * eps at most,
-        # so outside a relative 1e-9 of GRAD_TOL**2 both stop alike, and
-        # inside it the problem's own sum decides, as alone
-        norm2 = np.bincount(col_owner, dw * dw, k) + db * db  # float even with no columns
-        if (norm2 <= hi).any():
-            stop |= norm2 < lo
-            for i in np.flatnonzero((norm2 <= hi) & ~stop).tolist():
-                stop[i] = np.sqrt(np.dot(dws[i], dws[i]) + db[i] * db[i]) < GRAD_TOL
-            if np.count_nonzero(stop) > frozen:
-                # these problems stop here, before this step, as each would alone
-                frozen = np.count_nonzero(stop)
-                if frozen == k:
-                    break
-                lanes = [lane for lane in lanes if not stop[lane[0]]]
-                stepping = ~np.concatenate([stop[col_owner], stop])
+            db[i] = np.add.reduce(ri)
+        np.add(g, reg * w, out=dw)
+        # each problem's squared gradient norm: its squared column gradients,
+        # added in column order (bincount adds in index order), plus db * db
+        stop |= np.bincount(col_owner, dw * dw, k) + db * db < GRAD_TOL**2
+        if np.count_nonzero(stop) > frozen:
+            # these problems stop here, before this step, as each would alone
+            frozen = np.count_nonzero(stop)
+            if frozen == k:
+                break
+            lanes = [lane for lane in lanes if not stop[lane[0]]]
+            stepping = ~np.concatenate([stop[col_owner], stop])
         np.subtract(theta, lr * grad, out=theta, where=stepping)
     models = []
     for const, wi, bi in zip(consts, np.split(w, col_cuts), b):

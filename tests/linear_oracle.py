@@ -1,9 +1,16 @@
 """The one-problem-at-a-time descent loop: the reference for ``fit_linear``.
 
 ``sigmoid`` and ``_descend`` are the original two-branch sigmoid and
-per-problem descent loop, verbatim. ``fit`` fits one problem with them the
-way the lgr and svm models did, so a test can compare ``model_to_dict`` of
-its model with that of a model the library fitted in a batch.
+per-problem descent loop, verbatim but for the stop test. ``fit`` fits one
+problem with them the way the lgr and svm models did, so a test can compare
+``model_to_dict`` of its model with that of a model the library fitted in a
+batch.
+
+The stop test was ``sqrt(dw @ dw + db * db) < GRAD_TOL``, whose BLAS ddot
+adds in an order the BLAS build chooses. It now states the library's rule
+in plain Python: the squared column gradients added one at a time, left to
+right, then ``db * db``, against ``GRAD_TOL**2``. The built-in ``sum`` is
+not used, as CPython 3.12 and later compensate a float sum.
 
 ``scores`` is the reference for ``LinearModel.scores``: the two-branch
 sigmoid of the bias plus each nonzero-weight column's term, added in column
@@ -86,7 +93,10 @@ def _descend(spec, X, y, family, loss) -> LinearModel:
             pull = wn * s * (s * z < 1.0)
             dw = -(Ut @ pull) + reg * w
             db = -pull.sum()
-        if np.sqrt(dw @ dw + db * db) < GRAD_TOL:
+        norm2 = 0.0
+        for square in (dw * dw).tolist():
+            norm2 += square
+        if norm2 + db * db < GRAD_TOL**2:
             break
         w -= lr * dw
         b -= lr * db

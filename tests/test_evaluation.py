@@ -128,6 +128,17 @@ def test_confusion_length_mismatch():
         confusion([1, 0], [1])
 
 
+def test_confusion_rejects_labels_other_than_0_and_1():
+    # a pair with a 2 went uncounted, and a 0.7 was truncated to 0
+    with pytest.raises(NonBinaryLabelError, match="label 2 is not 0 or 1"):
+        confusion([2, 0, 1], [1, 0, 1])
+    with pytest.raises(NonBinaryLabelError, match="label 0.7 is not 0 or 1"):
+        confusion([0.7, 0, 1], [0, 0, 1])
+    with pytest.raises(NonBinaryLabelError, match="label -1 is not 0 or 1"):
+        confusion([1, 0, 1], [1, -1, 1])
+    assert confusion([True, False], [1.0, 0.0]) == confusion([1, 0], [1, 0])
+
+
 def test_confusion_empty():
     with pytest.raises(EmptyMatrixError):
         confusion([], [])

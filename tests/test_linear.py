@@ -60,9 +60,14 @@ def test_batch_with_a_width_zero_problem(spec):
         y = rng.integers(0, 2, n).astype(float)
         y[:2] = 0.0, 1.0
         batch.append((X, y))
-    assert [int((X != X[0]).any(axis=0).sum()) for X, _ in batch] == [0, 1, 3, 2]
+    # balanced labels and no column: the gradient is exactly 0 at iteration 0,
+    # so this problem stops before its first step while the others go on
+    batch.insert(1, (np.ones((10, 4)), np.tile([0.0, 1.0], 5)))
+    assert [int((X != X[0]).any(axis=0).sum()) for X, _ in batch] == [0, 0, 1, 3, 2]
     models = fit_each(spec, batch)
     assert not models[0].weights.any()
+    assert not models[1].weights.any() and models[1].bias == 0.0
+    assert models[0].bias != 0.0 and models[2].weights.any()
     assert _bits(models) == _oracle_bits(spec, batch)
 
 

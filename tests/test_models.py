@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linear_oracle
+from argstruct.evaluation import NonBinaryLabelError
 from argstruct.models import (
     DimensionMismatchError,
     EmptyTrainingSetError,
     ModelSpec,
     SingleClassError,
     fit,
+    fit_each,
 )
 from argstruct.models.boosting import GradientBoostedModel
 from argstruct.models.forest import RandomForestModel
@@ -123,6 +125,18 @@ def test_fit_rejects_empty_and_tiny():
 def test_fit_rejects_single_class():
     with pytest.raises(SingleClassError):
         fit(ModelSpec("lgr"), [[0.0], [1.0]], [1, 1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_rejects_labels_other_than_0_and_1(family):
+    # gbt scored every row NaN from {0, 2} and 0.0 from {-1, 1}; the others fitted
+    X, y = _random_binary_problem(0, n=20, d=3)
+    spec = ModelSpec(family, tree_count=3)
+    for bad, first in ((2 * y, "2.0"), (2 * y - 1, "-1.0"), (np.where(y, 1.0, 0.5), "0.5")):
+        with pytest.raises(NonBinaryLabelError, match=f"label {first} is not 0 or 1"):
+            fit(spec, X, bad)
+        with pytest.raises(NonBinaryLabelError):  # before any problem of the batch is fitted
+            fit_each(spec, [(X, y), (X, bad)])
 
 
 def test_fit_rejects_ragged_rows():
