@@ -16,7 +16,7 @@ or when pytest ends any other way (exit 2 is a collection or import error).
 Hypothesis tests draw from the fixed ``HYPOTHESIS_SEED``, so the baseline and
 every mutation see the same examples and a second sweep prints the same lines.
 The sweep takes a few minutes; ``tests/test_mutation_table.py`` checks only
-the anchors.
+that each anchor occurs once and that each mutated file compiles.
 """
 
 import os
@@ -45,9 +45,6 @@ _LINEAR = "src/argstruct/models/linear.py"
 _DATA = "src/argstruct/data.py"
 _ENCODINGS = "src/argstruct/encodings.py"
 _CHANGED_LINE = "tests/test_data.py::test_one_scan_matches_per_line_loop_on_a_changed_line"
-_MIDDLE_BLOCK = (
-    "tests/test_data.py::test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block"
-)
 _ROW_CHUNKS = "tests/test_tree_builder.py::test_predict_in_row_chunks_matches_recursive_builder"
 
 MUTATIONS = (
@@ -229,11 +226,11 @@ MUTATIONS = (
         "class PremiseOverflowError(Exception):",
         ("tests/test_cli.py::test_every_data_error_exits_2",),
     ),
-    Mutation(
+    Mutation(  # a bad role reports a KeyError, not the enum's own error
         "enum-miss-no-fallback",
         _DATA,
-        "        return codes[enum(value).value]",
-        "        raise ValueError(f\"{value!r} is not valid\")",
+        'roles.append(ROLE_CODES[Role(raw["role"])])',
+        'roles.append(_ROLE_VALUES[raw["role"]])',
         ("tests/test_data.py::test_parse_matches_object_oracle",),
     ),
     Mutation(
@@ -254,33 +251,15 @@ MUTATIONS = (
     Mutation(
         "scan-never-taken",
         _DATA,
-        'line_no = records.scan_text(block.decode("utf-8"), line_no)',
-        'raise UnicodeDecodeError("utf-8", block, 0, 1, "the scan is never taken")',
+        "                record, end = scan(text, 0)\n",
+        "                raise StopIteration  # the scan is never taken\n",
         ("tests/test_data.py::test_one_scan_parses_generated_files_as_the_per_line_loop",),
-    ),
-    Mutation(
-        "block-line-numbers-not-carried",
-        _DATA,
-        "            line_no = 1\n            while block := fh.read(BLOCK_BYTES):\n",
-        "            while block := fh.read(BLOCK_BYTES):\n                line_no = 1\n",
-        (f"{_MIDDLE_BLOCK}[not-an-object]",),
-    ),
-    Mutation(  # the outcome stays; only the lines the per-line decoder takes show it
-        "scan-resumes-a-line-late",
-        _DATA,
-        "                start, line_no = end, line_no + 1\n",
-        "                start, line_no = end, line_no + 1\n"
-        "                if start < n:  # the next line too\n"
-        '                    end = text.find("\\n", start) % (n + 1) + 1\n'
-        "                    self.decode_line(text[start:end], line_no)\n"
-        "                    start, line_no = end, line_no + 1\n",
-        (f"{_CHANGED_LINE}[trailing-spaces-0]",),
     ),
     Mutation(  # the outcome stays; only the lines the per-line decoder takes show it
         "scan-integer-id-not-read",
         _DATA,
-        "                        msg_id = str(msg_id)\n",
-        "                        pass\n",
+        "                    msg_id = str(msg_id)\n",
+        "                    pass\n",
         (f"{_CHANGED_LINE}[integer-id-0]",),
     ),
     Mutation(
@@ -305,18 +284,11 @@ MUTATIONS = (
         "False",
         ("tests/test_data.py::test_repeated_id_is_rejected_on_the_later_line",),
     ),
-    Mutation(
-        "scan-record-spans-lines",
-        _DATA,
-        'line_end = text.find("\\n", start) % (n + 1)',
-        'line_end = text.find("\\n", end) % (n + 1)',
-        (f"{_CHANGED_LINE}[spans-two-lines-0]",),
-    ),
-    Mutation(
+    Mutation(  # the scan accepts trailing text after a record
         "scan-any-character-after-record",
         _DATA,
-        'end != line_end and text[end:line_end] != "\\r"',
-        "end > line_end",
+        "if text[end:] in ends and type(msg_id) is str",
+        "if type(msg_id) is str",
         (f"{_CHANGED_LINE}[two-records-on-a-line-0]",),
     ),
     Mutation(

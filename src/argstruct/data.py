@@ -20,19 +20,18 @@ Interchange format: one JSON object per line, UTF-8::
 is a string or an integer (read as its decimal string), and no two messages
 share one; ``text`` is a string or null.
 
-Parsing a path or bytes reads it once, front to back, in blocks of whole
-lines (``BLOCK_BYTES`` and the rest of the line they end in), so no more than
-a block of the source is held as bytes and text at once. Each block is
-decoded as UTF-8 and walked with the json module's C scanner, the one
-``json.loads`` uses. A line the scan cannot take (invalid JSON, a key, value
-or type the format does not allow, or not one record on its line; a CRLF
-line end is fine) goes alone to the per-line decoder, which an iterable of
-lines and a block that is not UTF-8 take line by line; the scan resumes at
-the next line. Both write into the same columns, line numbers run on across
-blocks, and one check of the record rules judges all records.
-Nesting within a few levels of the interpreter's recursion limit, where
-either path's outcome already depends on the caller's stack depth, is the
-one input the two may judge differently.
+Parsing reads a path or bytes once, front to back, one line at a time, so
+no more than a line of the source is held as bytes and text at once. Every
+line, from a path, bytes or an iterable, is decoded as UTF-8 on its own (a
+``str`` line is taken as it is) and scanned with the json module's C
+scanner, the one ``json.loads`` uses. A line the scan cannot take (not
+UTF-8, invalid JSON, a key, value or type the format does not allow, or not
+one record on its line; a CRLF line end is fine) goes alone to the per-line
+decoder, ``json.loads``. Both write into the same columns, and one check of
+the record rules judges all records. The scanner and ``json.loads`` run at
+different stack depths, so nesting within a few levels of the interpreter's
+recursion limit, where either one's outcome already depends on the
+caller's stack depth, is the one input the two may judge differently.
 """
 
 import io
@@ -334,19 +333,6 @@ class Dataset:
         return self.label.tolist()
 
 
-def _code(codes: dict, enum: type[Enum], value) -> int:
-    """The code of ``enum(value)``: a dict lookup, or the enum's own error."""
-    try:
-        return codes[value]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        return codes[enum(value).value]
-
-
-_LABEL_VALUES, _ROLE_VALUES, _CW_VALUES, _HATE_VALUES = (
-    {member.value: i for i, member in enumerate(order)} for order in _ORDERS
-)
-
-
 def _record_codes(record: dict, line_no: int):
     """One decoded record as (id, label code, roles, cws, hates, texts)."""
     try:
@@ -354,7 +340,7 @@ def _record_codes(record: dict, line_no: int):
         if isinstance(msg_id, bool) or not isinstance(msg_id, (str, int)):
             raise TypeError(f"id must be a string or an integer, not {type(msg_id).__name__}")
         msg_id = str(msg_id)
-        label = _code(_LABEL_VALUES, MessageLabel, record["label"])
+        label = LABEL_CODES[MessageLabel(record["label"])]
         raw_components = record["components"]
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedRecordError(line_no, f"bad record: {exc!r}") from exc
@@ -364,9 +350,9 @@ def _record_codes(record: dict, line_no: int):
     for pos, raw in enumerate(raw_components):
         try:
             hate = raw.get("hate")
-            roles.append(_code(_ROLE_VALUES, Role, raw["role"]))
-            cws.append(_code(_CW_VALUES, Checkworthiness, raw["cw"]))
-            hates.append(UNANNOTATED if hate is None else _code(_HATE_VALUES, ComponentHate, hate))
+            roles.append(ROLE_CODES[Role(raw["role"])])
+            cws.append(CW_CODES[Checkworthiness(raw["cw"])])
+            hates.append(UNANNOTATED if hate is None else HATE_CODES[ComponentHate(hate)])
             text = raw.get("text")
             if not (text is None or isinstance(text, str)):
                 raise TypeError(f"text must be a string or null, not {type(text).__name__}")
@@ -377,6 +363,9 @@ def _record_codes(record: dict, line_no: int):
 
 
 _SCAN = json.scanner.make_scanner(json.JSONDecoder())  # json.loads's scanner
+_LABEL_VALUES, _ROLE_VALUES, _CW_VALUES, _HATE_VALUES = (  # codes by JSON value
+    {member.value: i for i, member in enumerate(order)} for order in _ORDERS
+)
 # each (role, cw, hate) value triple a component may carry: (role * 3 + cw) * 3 + hate, in codes
 _HATE_OR_NULL = {None: UNANNOTATED, **_HATE_VALUES}
 _TRIPLE_CODE = {(r, c, h): (_ROLE_VALUES[r] * 3 + _CW_VALUES[c]) * 3 + _HATE_OR_NULL[h]
@@ -398,9 +387,6 @@ class ParseResult:
     skipped: tuple[RecordIssue, ...]
 
 
-BLOCK_BYTES = 1 << 18  # a path or bytes is read 256 KiB at a time, plus the rest of a line
-
-
 class _Records:
     """The decoded records of a source, in line order, as unchecked columns:
     each record's id, label code, line number and end offset into the
@@ -412,28 +398,23 @@ class _Records:
         self.labels, self.codes = bytearray(), bytearray()
         self.offsets, self.lines = array("q", [0]), array("q")
 
-    def scan_text(self, text: str, line_no: int) -> int:
-        """Add the lines of ``text``, the first line ``line_no``, in one scan; a
-        line that is not one plain record goes alone to ``decode_line``.
-        Returns the number of the line after ``text``."""
+    def read(self, lines: Iterable) -> None:
+        """Add the records of ``lines``, numbered from 1. The scan takes a line
+        that holds one plain record and a line end; any other line goes alone
+        to ``decode_line``."""
         ids, labels, codes, texts = self.ids, self.labels, self.codes, self.texts
-        offsets, scan, code_of, label_of = self.offsets, _SCAN, _TRIPLE_CODE, _LABEL_VALUES
-        start, n = 0, len(text)
-        while start < n:
-            first = len(ids)
+        offsets, numbers, scan, code_of, label_of = (
+            self.offsets, self.lines, _SCAN, _TRIPLE_CODE, _LABEL_VALUES)
+        ends = ("", "\n", "\r\n", "\r")  # line ends; other trailing whitespace goes to json.loads
+        for line_no, line in enumerate(lines, 1):
             try:
-                while start < n:
-                    record, end = scan(text, start)
-                    line_end = text.find("\n", start) % (n + 1)  # n on a last line with no "\n"
-                    # the record fills its line, up to the "\r" json.loads skips in a CRLF
-                    if end != line_end and text[end:line_end] != "\r":
-                        break
-                    msg_id, components = record["id"], record["components"]
-                    label = label_of[record["label"]]
-                    if type(msg_id) is int:  # read as its decimal string
-                        msg_id = str(msg_id)
-                    if type(msg_id) is not str or type(components) is not list:
-                        break
+                text = line.decode("utf-8") if type(line) is bytes else line
+                record, end = scan(text, 0)
+                msg_id, components = record["id"], record["components"]
+                label = label_of[record["label"]]
+                if type(msg_id) is int:  # read as its decimal string
+                    msg_id = str(msg_id)
+                if text[end:] in ends and type(msg_id) is str and type(components) is list:
                     for c in components:
                         codes.append(code_of[c["role"], c["cw"], c.get("hate")])
                         t = c.get("text")
@@ -443,18 +424,12 @@ class _Records:
                     ids.append(msg_id)
                     labels.append(label)
                     offsets.append(len(texts))
-                    start = line_end + 1
-            # no JSON value (StopIteration), invalid JSON, or a record that is no plain message
-            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-                pass
-            del codes[offsets[-1]:], texts[offsets[-1]:]  # the components of a record it left
-            self.lines.extend(range(line_no, line_no + len(ids) - first))
-            line_no += len(ids) - first
-            if start < n:
-                end = text.find("\n", start) % (n + 1) + 1
-                self.decode_line(text[start:end], line_no)
-                start, line_no = end, line_no + 1
-        return line_no
+                    numbers.append(line_no)
+                    continue
+            # not UTF-8, no JSON value (StopIteration), invalid JSON, or no plain record
+            except (ValueError, StopIteration, RecursionError, KeyError, TypeError):
+                del codes[offsets[-1]:], texts[offsets[-1]:]  # the components of a record it left
+            self.decode_line(line, line_no)
 
     def decode_line(self, line: str | bytes, line_no: int) -> None:
         """Add the record on ``line``, line ``line_no``, decoded by ``json.loads``,
@@ -531,26 +506,16 @@ def parse_dataset(source, strict: bool = True) -> ParseResult:
     breaks a structural rule is invalid (``ValidationError``), and so, with
     code DUPLICATE_ID, is a record whose id an earlier accepted record has.
     Blank lines are ignored. Raises EmptyDatasetError when no valid message
-    remains. A path or bytes is read once, in blocks of whole lines, each
-    parsed in one scan of its text; a line the scan cannot take goes alone
-    to the per-line decoder. See the module docstring.
+    remains. A path or bytes is read once, one line at a time. Each line is
+    scanned on its own, and a line the scan cannot take goes alone to the
+    per-line decoder. See the module docstring.
     """
     records = _Records()
     if isinstance(source, (str, Path, bytes)):
         with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
-            line_no = 1
-            while block := fh.read(BLOCK_BYTES):
-                if not block.endswith(b"\n"):
-                    block += fh.readline()  # a line longer than a block joins it whole
-                try:
-                    line_no = records.scan_text(block.decode("utf-8"), line_no)
-                except UnicodeDecodeError:  # the per-line decoder reports the line
-                    for line in io.BytesIO(block):
-                        records.decode_line(line, line_no)
-                        line_no += 1
+            records.read(fh)
     elif isinstance(source, Iterable):
-        for line_no, line in enumerate(source, start=1):
-            records.decode_line(line, line_no)
+        records.read(source)
     else:
         raise TypeError(f"unsupported dataset source: {type(source)!r}")
     dataset, lines, issues = records.dataset(), records.lines, records.issues

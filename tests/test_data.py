@@ -541,23 +541,42 @@ def _decoded_lines(monkeypatch) -> list:
     return decoded
 
 
+def _decode_each_line(records, lines):
+    for line_no, line in enumerate(lines, 1):
+        records.decode_line(line, line_no)
+
+
+def _per_line_loop_outcome(source, strict, monkeypatch):
+    """``_per_line_outcome`` of ``source`` with every line sent to the
+    per-line decoder, ``json.loads``: the reference for the scan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(data._Records, "read", _decode_each_line)
+        return _per_line_outcome(source, strict)
+
+
 @pytest.mark.parametrize("with_texts", [False, True])
 @pytest.mark.parametrize("mode", ["table1", "separable"])
 @pytest.mark.parametrize("seed", [501, 502, 7])
 def test_one_scan_parses_generated_files_as_the_per_line_loop(
     mode, seed, with_texts, tmp_path, monkeypatch
 ):
-    """Generated files take the one scan, from a path or bytes, with and
-    without their last newline, and it gives the per-line loop's result."""
+    """Every line of a generated file takes the scan, from a path, from bytes
+    and from a list of bytes or str lines, with and without its last newline,
+    and the scan gives the per-line loop's result."""
     raw = _synth_bytes(mode, seed, 227, 136, with_texts)
     path = tmp_path / "d.jsonl"
     path.write_bytes(raw)
     for strict in (True, False):
-        expected = [parse_dataset(list(io.BytesIO(source)), strict) for source in (raw, raw[:-1])]
+        expected = [_per_line_loop_outcome(source, strict, monkeypatch)
+                    for source in (raw, raw[:-1])]
         with monkeypatch.context() as patch:
             decoded = _decoded_lines(patch)
-            got = [parse_dataset(source, strict) for source in (path, raw[:-1])]
+            got = [_per_line_outcome(source, strict) for source in (path, raw[:-1])]
+            str_lines = [line.decode("utf-8") for line in io.BytesIO(raw)]
+            as_lines = [_per_line_outcome(lines, strict)
+                        for lines in (list(io.BytesIO(raw)), str_lines)]
         assert got == expected
+        assert as_lines == [expected[0], expected[0]]
         assert decoded == []
 
 
@@ -621,43 +640,24 @@ _SCANNED_VARIANTS = {
 }
 
 
-def _blocks_of(raw: bytes, size: int):
-    """(offset, block) of ``raw`` in blocks of whole lines: ``size`` bytes and
-    the rest of the line they end in."""
-    fh, offset, blocks = io.BytesIO(raw), 0, []
-    while block := fh.read(size):
-        block += b"" if block.endswith(b"\n") else fh.readline()
-        blocks.append((offset, block))
-        offset += len(block)
-    return blocks
-
-
-def _block_lines(raw: bytes, size: int) -> list[range]:
-    """The line numbers of each block of ``raw``, which ends in a newline."""
-    return [range(first := raw[:offset].count(b"\n") + 1, first + block.count(b"\n"))
-            for offset, block in _blocks_of(raw, size)]
-
-
-def _lines_for_the_per_line_decoder(raw: bytes, line_no: int, variant: str, block_bytes: int):
-    """The numbers of the lines of ``raw`` the per-line decoder takes, in order,
-    when ``variant`` changed line ``line_no``: none for a change the scan
-    keeps, each line of the block holding it for invalid UTF-8, both halves
-    of a record split over two lines, and else the changed line alone."""
+def _lines_for_the_per_line_decoder(line_no: int, variant: str) -> list[int]:
+    """The numbers of the lines the per-line decoder takes, in order, when
+    ``variant`` changed line ``line_no``: none for a change the scan keeps,
+    both halves of a record split over two lines, and else the changed line
+    alone."""
     if variant in _SCANNED_VARIANTS:
         return []
-    if variant == "invalid-utf8":
-        return next(list(lines) for lines in _block_lines(raw, block_bytes) if line_no in lines)
     return [line_no, line_no + 1] if variant == "spans-two-lines" else [line_no]
 
 
-def _outcomes_and_decoded_lines(raw: bytes, monkeypatch):
-    """``_per_line_outcome`` of ``raw`` in strict and lenient mode, and the
+def _outcomes_and_decoded_lines(source, monkeypatch):
+    """``_per_line_outcome`` of ``source`` in strict and lenient mode, and the
     line numbers the per-line decoder took in each."""
     outcomes, decoded = [], []
     for strict in (True, False):
         with monkeypatch.context() as patch:
             lines = _decoded_lines(patch)
-            outcomes.append(_per_line_outcome(raw, strict))
+            outcomes.append(_per_line_outcome(source, strict))
         decoded.append(lines)
     return outcomes, decoded
 
@@ -666,96 +666,95 @@ def _outcomes_and_decoded_lines(raw: bytes, monkeypatch):
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
 def test_one_scan_matches_per_line_loop_on_a_changed_line(variant, where, monkeypatch):
     """With one line changed, the result, error text, warnings and skipped
-    records of a bytes source equal those of the same lines as an iterable,
-    in strict and lenient mode. The one scan keeps a record that decodes:
-    a valid value, a CRLF line end, or a record that breaks a rule or warns.
+    records of bytes and of their lines as a list equal the per-line loop's,
+    in strict and lenient mode. The scan keeps a record that decodes: a
+    valid value, a CRLF line end, or a record that breaks a rule or warns.
     Every other change sends the changed line alone, once, to the per-line
-    decoder, and every line of its block when the block is not UTF-8."""
+    decoder."""
     lines = _synth_bytes("table1", 11 + where, with_texts=True).split(b"\n")[:-1]
     line_no = where % len(lines) + 1
     lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
     raw = b"\n".join(lines) + b"\n"
-    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
-    outcomes, decoded = _outcomes_and_decoded_lines(raw, monkeypatch)
-    assert outcomes == expected
-    per_line = _lines_for_the_per_line_decoder(raw, line_no, variant, data.BLOCK_BYTES)
-    assert decoded == [per_line, per_line]
+    expected = [_per_line_loop_outcome(raw, strict, monkeypatch) for strict in (True, False)]
+    per_line = _lines_for_the_per_line_decoder(line_no, variant)
+    for source in (raw, list(io.BytesIO(raw))):
+        outcomes, decoded = _outcomes_and_decoded_lines(source, monkeypatch)
+        assert outcomes == expected
+        assert decoded == [per_line, per_line]
 
 
 @pytest.mark.parametrize("variant", sorted(_VARIANTS))
-def test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block(variant, monkeypatch):
-    """Read in blocks of a few hundred bytes, a file with one line changed in
-    a middle block gives the result, error text, line numbers, warnings and
-    skipped records of its lines as an iterable, in strict and lenient mode.
-    The per-line decoder takes only the changed line or lines, each once, or
-    the lines of its block when the block is not UTF-8."""
-    monkeypatch.setattr(data, "BLOCK_BYTES", 300)
+def test_blocks_match_per_line_loop_on_a_changed_line_in_a_middle_block(
+    variant, tmp_path, monkeypatch
+):
+    """A file with one line changed, read from its path and through a binary
+    file object whose 300-byte buffer holds the line in a middle block, gives
+    the per-line loop's result, error text, line numbers, warnings and
+    skipped records, in strict and lenient mode. The per-line decoder takes
+    only the changed line or lines, each once."""
     lines = _synth_bytes("table1", 13, with_texts=True).split(b"\n")[:-1]
     where = len(lines) // 2
     lines[where] = _VARIANTS[variant](lines[where], lines[where - 1])
     raw = b"\n".join(lines) + b"\n"
     changed_start = len(b"\n".join(lines[:where])) + 1
-    changed_end = changed_start + len(lines[where])
-    blocks = _blocks_of(raw, 300)
-    assert len(blocks) >= 5 and blocks[0][1] != raw
-    assert changed_start > len(blocks[0][1]) and changed_end < len(raw) - len(blocks[-1][1])
-    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
-    outcomes, decoded = _outcomes_and_decoded_lines(raw, monkeypatch)
-    assert outcomes == expected
-    per_line = _lines_for_the_per_line_decoder(raw, where + 1, variant, 300)
-    assert decoded == [per_line, per_line]
+    assert 300 < changed_start and changed_start + len(lines[where]) < len(raw) - 300
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(raw)
+    per_line = _lines_for_the_per_line_decoder(where + 1, variant)
+    for strict in (True, False):
+        expected = _per_line_loop_outcome(raw, strict, monkeypatch)
+        with open(path, "rb", buffering=300) as fh:
+            for source in (path, fh):
+                with monkeypatch.context() as patch:
+                    decoded = _decoded_lines(patch)
+                    assert _per_line_outcome(source, strict) == expected
+                assert decoded == per_line
 
 
 _PER_LINE_VARIANTS = sorted(
-    set(_VARIANTS) - _SCANNED_VARIANTS - {"invalid-utf8", "spans-two-lines", "blank-line"}
+    set(_VARIANTS) - _SCANNED_VARIANTS - {"spans-two-lines", "blank-line"}
 )
 
 
 def test_blocks_each_with_a_changed_line_decode_only_those_lines(monkeypatch):
-    """A file with one line the scan cannot take in each of several blocks of
-    a few hundred bytes gives the result of its lines as an iterable, in
-    strict and lenient mode, and the per-line decoder takes those lines alone,
-    each once."""
-    monkeypatch.setattr(data, "BLOCK_BYTES", 300)
+    """A file with a line the scan cannot take every few lines gives the
+    per-line loop's result, in strict and lenient mode, and the per-line
+    decoder takes those lines alone, each once."""
     lines = _synth_bytes("table1", 23, 20, 15, with_texts=True).split(b"\n")[:-1]
+    changed = list(range(2, len(lines) + 1, 3))  # line numbers, from 1
+    assert len(changed) >= len(_PER_LINE_VARIANTS)
+    for line_no, variant in zip(changed, itertools.cycle(_PER_LINE_VARIANTS)):
+        lines[line_no - 1] = _VARIANTS[variant](lines[line_no - 1], lines[line_no - 2])
     raw = b"\n".join(lines) + b"\n"
-    # the first line of each block but the first and last, front to back: a
-    # change moves every block after its own, so each is found after the change
-    changed, variants = [], itertools.cycle(_PER_LINE_VARIANTS)
-    while len(blocks := _block_lines(raw, 300)) > len(changed) + 2:
-        line_no = blocks[len(changed) + 1].start
-        lines[line_no - 1] = _VARIANTS[next(variants)](lines[line_no - 1], lines[line_no - 2])
-        raw = b"\n".join(lines) + b"\n"
-        changed.append(line_no)
-    holding = [sum(line_no in block for line_no in changed) for block in _block_lines(raw, 300)]
-    assert max(holding) == 1 and sum(holding) == len(changed) >= len(_PER_LINE_VARIANTS)
-    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    expected = [_per_line_loop_outcome(raw, strict, monkeypatch) for strict in (True, False)]
     outcomes, decoded = _outcomes_and_decoded_lines(raw, monkeypatch)
     assert outcomes == expected
     assert decoded == [changed, changed]
 
 
-@pytest.mark.parametrize("block_bytes", [64, 300, 1000])
+@pytest.mark.parametrize("buffering", [64, 300, 1000])
 @pytest.mark.parametrize("shape", ["plain", "crlf", "no-final-newline", "crlf-no-final-newline"])
-def test_blocks_parse_generated_files_as_the_per_line_loop(shape, block_bytes, tmp_path,
+def test_blocks_parse_generated_files_as_the_per_line_loop(shape, buffering, tmp_path,
                                                           monkeypatch):
-    """Non-ASCII and escaped texts, CRLF line ends, no last newline and lines
-    longer than a block (every line, at 64 bytes) read in blocks from a path
-    or bytes give the per-line loop's result on the same lines, with no line
-    taking the per-line decoder."""
-    monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+    """Non-ASCII and escaped texts, CRLF line ends and no last newline, read
+    from a path, from bytes, and through a binary file object with a buffer
+    of ``buffering`` bytes (shorter than every line at 64), give the per-line
+    loop's result on the same lines, with no line taking the per-line
+    decoder."""
     raw = _synth_bytes("table1", 17, 40, 30, with_texts=True)
     if shape.startswith("crlf"):
         raw = raw.replace(b"\n", b"\r\n")
     if shape.endswith("no-final-newline"):
         raw = raw.rstrip(b"\r\n")
-    assert len(_blocks_of(raw, block_bytes)) > 10
     path = tmp_path / "d.jsonl"
     path.write_bytes(raw)
-    expected = [_per_line_outcome(list(io.BytesIO(raw)), strict) for strict in (True, False)]
+    expected = [_per_line_loop_outcome(raw, strict, monkeypatch) for strict in (True, False)]
     decoded = _decoded_lines(monkeypatch)
     for source in (raw, path):
         assert [_per_line_outcome(source, strict) for strict in (True, False)] == expected
+    for strict, outcome in zip((True, False), expected):
+        with open(path, "rb", buffering=buffering) as fh:
+            assert _per_line_outcome(fh, strict) == outcome
     assert decoded == []
 
 
@@ -779,17 +778,14 @@ def _parse_through_a_pipe(raw: bytes, strict: bool):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("bad_last_block", [False, True])
-def test_a_pipe_parses_as_its_file_in_one_read(bad_last_block, tmp_path, monkeypatch):
+@pytest.mark.parametrize("bad_line", [False, True])
+def test_a_pipe_parses_as_its_file_in_one_read(bad_line, tmp_path):
     """A source that can be read only once, front to back, gives the regular
-    file's result, with a clean file and with a bad line in its last block."""
-    monkeypatch.setattr(data, "BLOCK_BYTES", 500)
+    file's result, with a clean file and with a bad line near its end."""
     lines = _synth_bytes("table1", 19, 30, 20, with_texts=True).split(b"\n")[:-1]
-    if bad_last_block:
+    if bad_line:
         lines[-2] = _VARIANTS["trailing-spaces"](lines[-2], lines[-3])
     raw = b"\n".join(lines) + b"\n"
-    blocks = _blocks_of(raw, 500)
-    assert len(blocks) > 5 and (b"}  \n" in blocks[-1][1]) == bad_last_block
     path = tmp_path / "d.jsonl"
     path.write_bytes(raw)
     for strict in (True, False):

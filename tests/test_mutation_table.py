@@ -1,9 +1,10 @@
 """The mutation table of scripts/mutation_check.py stays applicable.
 
 The sweep itself runs by hand (``python scripts/mutation_check.py``); this
-only checks that every anchor text still occurs exactly once in its file and
-that every named test file exists, so an edit to the source cannot retire a
-mutation silently.
+only checks that every anchor text still occurs exactly once in its file,
+that the mutated file still compiles and that every named test exists, so an
+edit to the source cannot retire a mutation silently, and a mutation cannot
+be killed by a syntax error in place of its tests.
 """
 
 import importlib.util
@@ -24,6 +25,12 @@ def test_anchor_occurs_once_in_src(mutation):
     assert mutation.path.startswith("src/")
     assert mutation.old != mutation.new
     assert mutation_check.anchor_count(mutation) == 1
+
+
+@pytest.mark.parametrize("mutation", ROWS, ids=[m.name for m in ROWS])
+def test_mutated_source_compiles(mutation):
+    source = (mutation_check.ROOT / mutation.path).read_text(encoding="utf-8")
+    compile(source.replace(mutation.old, mutation.new), mutation.path, "exec")
 
 
 @pytest.mark.parametrize("mutation", mutation_check.MUTATIONS,
